@@ -7,8 +7,8 @@ import numpy as np
 from tenderiv import (
     FDConfig,
     catalog,
-    chain_tensor,
     d_inverse,
+    ddot_cross,
     d_square,
     fd_scalar_derivative,
     fd_tensor_derivative,
@@ -46,9 +46,10 @@ for name in ("square", "cube", "inverse"):
     fd = fd_tensor_derivative(fn, at, cfg)
     print(f"  {name:8s} max |analytic - FD| = {np.max(np.abs(analytic - fd)):.3e}")
 
-print("\nChain rule: d/dS of (S^2)^-1 at a point near the identity.")
+print("\nChain rule (the cross double contraction of the outer derivative with")
+print("the inner one): d/dS of (S^2)^-1 at a point near the identity.")
 S = np.eye(3) + 0.2 * rng.uniform(-1, 1, (3, 3))
-composite = chain_tensor(d_inverse(matpow(S, 2)), d_square(S))
+composite = ddot_cross(d_inverse(matpow(S, 2)), d_square(S))
 direct_fn = cat["inverse"]
 
 

@@ -15,8 +15,6 @@ from .algebra import (
     Invariants,
     RankError,
     SingularTensorError,
-    as_ten2,
-    as_ten4,
     box,
     boxhat,
     ddot_cross,
@@ -41,15 +39,12 @@ from .algebra import (
 from .basis import (
     Basis,
     DegenerateFrameError,
-    basis_from_frame,
     from_components,
     make_basis,
     to_components,
     verify_basis_invariance,
 )
 from .bridge import (
-    check_rank2_bridge,
-    check_rank4_bridge,
     check_seq_transposers,
     convention_row_check,
     to_nested_layout,
@@ -60,8 +55,6 @@ from .calculus import (
     FDConfig,
     TensorFunction,
     catalog,
-    chain_scalar,
-    chain_tensor,
     d_identity,
     d_invariant,
     d_inverse,

@@ -5,28 +5,21 @@ Second-rank tensors are (3, 3) float arrays, fourth-rank tensors are
 the basis vectors in dyadic notation.  Storage is zero-based (entry "11" of a
 worked example lives at ``[0, 0]``).
 
-Three double contractions are provided.  With ``A`` second rank and ``H``,
-``P`` fourth rank:
+The products ``dot``, ``ddot_seq``, ``ddot_cross``, ``ddot_pos``, ``outer``,
+``box`` and ``boxhat`` are each one row of ``SUBSCRIPTS`` per rank pair.  The
+three double contractions differ only in how they pair the inner basis
+vectors of their operands:
 
-============  ==============================  ==============================
-operation     pairing rule                    index formulas
-============  ==============================  ==============================
-ddot_seq      nested, nearest vectors first   A:B     -> sum A[ij] B[ji]
-                                              A:H     -> sum_ij A[ij] H[jikl]
-                                              H:A     -> sum_kl H[ijkl] A[lk]
-                                              P:H     -> sum_mn P[ijmn] H[nmkl]
-ddot_cross    parallel pairing                A:B     -> sum A[ij] B[ij]
-                                              A:H     -> sum_ij A[ij] H[ijkl]
-                                              H:A     -> sum_kl H[ijkl] A[kl]
-                                              P:H     -> sum_mn P[ijmn] H[mnkl]
-ddot_pos      right operand substituted in    A:B     -> sum A[ij] B[ij]
-              the middle of the left          A:H     -> sum_ij A[ij] H[inkj]
-              operand's vector group          H:A     -> sum_jk H[ijkl] A[jk]
-                                              P:H     -> sum_jk P[ijkl] H[jnsk]
-============  ==============================  ==============================
+* ``ddot_seq``: nested pairing, nearest basis vectors first;
+* ``ddot_cross``: parallel pairing of the basis vectors;
+* ``ddot_pos``: the right operand is substituted in the middle of the left
+  operand's vector group.  On two second-rank operands it coincides with
+  ``ddot_cross``.
 
 All functions are pure and never mutate their arguments.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +31,7 @@ DET_FLOOR = 1e-8
 
 
 class RankError(ValueError):
-    """Operand rank combination not supported by the operation."""
+    """Operand ranks or shapes not supported by the operation."""
 
 
 class SingularTensorError(ValueError):
@@ -47,26 +40,6 @@ class SingularTensorError(ValueError):
     def __init__(self, det):
         super().__init__(f"tensor is numerically singular: det = {det:.3e}")
         self.det = float(det)
-
-
-def as_ten2(a):
-    """Validate and return a second-rank tensor as a (3, 3) float array."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (DIM, DIM):
-        raise RankError(f"expected shape (3, 3), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("second-rank tensor has non-finite entries")
-    return a
-
-
-def as_ten4(h):
-    """Validate and return a fourth-rank tensor as a (3, 3, 3, 3) float array."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (DIM, DIM, DIM, DIM):
-        raise RankError(f"expected shape (3, 3, 3, 3), got {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("fourth-rank tensor has non-finite entries")
-    return h
 
 
 def ident2():
@@ -88,83 +61,83 @@ def one_hot4(i, j, k, l):
     return e
 
 
-def _ranks(x, y):
-    return np.ndim(x), np.ndim(y)
+# (operation, (rank_x, rank_y)) -> einsum subscripts of the product.  This is
+# the only place an index rule is written down; basis derives its
+# metric-weighted component forms from it.
+SUBSCRIPTS = {
+    ("dot", (2, 2)): "im,mj->ij",
+    ("dot", (2, 4)): "im,mjkl->ijkl",
+    ("dot", (4, 2)): "ijkm,ml->ijkl",
+    ("ddot_seq", (2, 2)): "ij,ji->",
+    ("ddot_seq", (2, 4)): "ij,jikl->kl",
+    ("ddot_seq", (4, 2)): "ijkl,lk->ij",
+    ("ddot_seq", (4, 4)): "ijmn,nmkl->ijkl",
+    ("ddot_cross", (2, 2)): "ij,ij->",
+    ("ddot_cross", (2, 4)): "ij,ijkl->kl",
+    ("ddot_cross", (4, 2)): "ijkl,kl->ij",
+    ("ddot_cross", (4, 4)): "ijmn,mnkl->ijkl",
+    ("ddot_pos", (2, 2)): "ij,ij->",
+    ("ddot_pos", (2, 4)): "ij,inkj->nk",
+    ("ddot_pos", (4, 2)): "ijkl,jk->il",
+    ("ddot_pos", (4, 4)): "ijkl,jnsk->insl",
+    ("outer", (2, 2)): "ij,kl->ijkl",
+    ("box", (2, 2)): "ik,jl->ijkl",
+    ("boxhat", (2, 2)): "il,jk->ijkl",
+}
+
+
+# The same rows keyed by operand shapes, so that one lookup checks both the
+# ranks and the axis lengths of the operands.
+_BY_SHAPE = {(op, (DIM,) * rx, (DIM,) * ry): s for (op, (rx, ry)), s in SUBSCRIPTS.items()}
+
+
+def product(op, x, y):
+    """Evaluate the product ``op`` by its SUBSCRIPTS row; scalar results are floats.
+
+    Raises RankError when the table has no row for the operand ranks or when
+    an operand axis does not have length 3.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    subscripts = _BY_SHAPE.get((op, x.shape, y.shape))
+    if subscripts is None:
+        raise RankError(f"{op}: unsupported operand shapes {x.shape} and {y.shape}")
+    out = np.einsum(subscripts, x, y)
+    return float(out) if out.ndim == 0 else out
 
 
 def dot(x, y):
-    """Single contraction of the adjacent indices of two tensors.
-
-    Supports rank pairs 2*2, 2*4 and 4*2.
-    """
-    r = _ranks(x, y)
-    if r == (2, 2):
-        return x @ y
-    if r == (2, 4):
-        return np.einsum("im,mjkl->ijkl", x, y)
-    if r == (4, 2):
-        return np.einsum("ijkm,ml->ijkl", x, y)
-    raise RankError(f"dot: unsupported rank pair {r}")
+    """Single contraction of the adjacent indices of two tensors (ranks 2*2, 2*4, 4*2)."""
+    return product("dot", x, y)
 
 
 def ddot_seq(x, y):
     """Sequential double contraction (nearest basis vectors pair first)."""
-    r = _ranks(x, y)
-    if r == (2, 2):
-        return float(np.einsum("ij,ji->", x, y))
-    if r == (2, 4):
-        return np.einsum("ij,jikl->kl", x, y)
-    if r == (4, 2):
-        return np.einsum("ijkl,lk->ij", x, y)
-    if r == (4, 4):
-        return np.einsum("ijmn,nmkl->ijkl", x, y)
-    raise RankError(f"ddot_seq: unsupported rank pair {r}")
+    return product("ddot_seq", x, y)
 
 
 def ddot_cross(x, y):
     """Cross double contraction (parallel pairing of basis vectors)."""
-    r = _ranks(x, y)
-    if r == (2, 2):
-        return float(np.einsum("ij,ij->", x, y))
-    if r == (2, 4):
-        return np.einsum("ij,ijkl->kl", x, y)
-    if r == (4, 2):
-        return np.einsum("ijkl,kl->ij", x, y)
-    if r == (4, 4):
-        return np.einsum("ijmn,mnkl->ijkl", x, y)
-    raise RankError(f"ddot_cross: unsupported rank pair {r}")
+    return product("ddot_cross", x, y)
 
 
 def ddot_pos(x, y):
-    """Positional double contraction (right operand slotted mid-group).
-
-    On two second-rank operands it coincides with ddot_cross.
-    """
-    r = _ranks(x, y)
-    if r == (2, 2):
-        return float(np.einsum("ij,ij->", x, y))
-    if r == (2, 4):
-        return np.einsum("ij,inkj->nk", x, y)
-    if r == (4, 2):
-        return np.einsum("ijkl,jk->il", x, y)
-    if r == (4, 4):
-        return np.einsum("ijkl,jnsk->insl", x, y)
-    raise RankError(f"ddot_pos: unsupported rank pair {r}")
+    """Positional double contraction (right operand slotted mid-group)."""
+    return product("ddot_pos", x, y)
 
 
 def outer(a, b):
     """Dyadic product: out[i,j,k,l] = a[i,j] b[k,l]."""
-    return np.einsum("ij,kl->ijkl", a, b)
+    return product("outer", a, b)
 
 
 def box(a, b):
     """Interleaved product placing a on slots (1,3): out[i,j,k,l] = a[i,k] b[j,l]."""
-    return np.einsum("ik,jl->ijkl", a, b)
+    return product("box", a, b)
 
 
 def boxhat(a, b):
     """Interleaved product placing a on slots (1,4): out[i,j,k,l] = a[i,l] b[j,k]."""
-    return np.einsum("il,jk->ijkl", a, b)
+    return product("boxhat", a, b)
 
 
 def transpose2(a):
@@ -244,26 +217,22 @@ def pos_ddot_right(m, c, n):
     return np.einsum(_POS_DDOT_RIGHT[n], m, c)
 
 
+def maxabs(x):
+    """Largest absolute entry of a tensor."""
+    return float(np.max(np.abs(x)))
+
+
 def trace(a):
     """First principal invariant."""
     return float(np.trace(a))
 
 
-class Invariants:
+class Invariants(NamedTuple):
     """The three principal invariants of a second-rank tensor."""
 
-    __slots__ = ("i1", "i2", "i3")
-
-    def __init__(self, i1, i2, i3):
-        self.i1 = float(i1)
-        self.i2 = float(i2)
-        self.i3 = float(i3)
-
-    def __iter__(self):
-        return iter((self.i1, self.i2, self.i3))
-
-    def __repr__(self):
-        return f"Invariants(i1={self.i1!r}, i2={self.i2!r}, i3={self.i3!r})"
+    i1: float
+    i2: float
+    i3: float
 
 
 def invariants(a):

@@ -4,7 +4,9 @@ All nine Cartesian components of the argument are treated as independent (no
 symmetry projection).  Derivatives of tensor-valued functions use the trailing
 layout throughout: entry (i, j, k, p) is dF[i,j] / dA[k,p]; for scalar
 functions entry (i, j) is df / dA[i,j].  The nested layout used by part of
-the literature is reached through the bridge module.
+the literature is reached through the bridge module.  The chain rule for a
+function of a tensor-valued inner function is the cross double contraction
+of the outer derivative with the inner one, ``ddot_cross(dphi_da, da_ds)``.
 
 The finite-difference functions are deliberately independent of the analytic
 rules: they probe the evaluator componentwise with central differences and
@@ -19,13 +21,13 @@ import numpy as np
 from .algebra import (
     DET_FLOOR,
     DIM,
-    ddot_cross,
     ddot_seq,
     dot,
     ident2,
     inverse2,
     invariants,
     matpow,
+    maxabs,
     outer,
     pos_dot,
     trace,
@@ -77,32 +79,11 @@ def _require_domain(fn, a, what):
         raise DomainError(f"{fn.name}: domain guard fails at {what}")
 
 
-def fd_scalar_derivative(fn, a, cfg=FDConfig()):
-    """Central-difference derivative of a scalar-valued catalog entry."""
-    if fn.kind != "scalar":
-        raise ValueError(f"{fn.name} is not scalar-valued")
+def _central_differences(fn, a, cfg, value_shape):
+    """Central difference over each argument component, written to out[..., k, p]."""
     a = np.asarray(a, dtype=float)
     _require_domain(fn, a, "the base point")
-    out = np.zeros((DIM, DIM))
-    for i in range(DIM):
-        for j in range(DIM):
-            h = cfg.step(a[i, j])
-            ap, am = a.copy(), a.copy()
-            ap[i, j] += h
-            am[i, j] -= h
-            _require_domain(fn, ap, f"probe (+h) of component ({i},{j})")
-            _require_domain(fn, am, f"probe (-h) of component ({i},{j})")
-            out[i, j] = (fn.func(ap) - fn.func(am)) / (2.0 * h)
-    return out
-
-
-def fd_tensor_derivative(fn, a, cfg=FDConfig()):
-    """Central-difference derivative of a tensor-valued catalog entry (trailing layout)."""
-    if fn.kind != "tensor":
-        raise ValueError(f"{fn.name} is not tensor-valued")
-    a = np.asarray(a, dtype=float)
-    _require_domain(fn, a, "the base point")
-    out = np.zeros((DIM, DIM, DIM, DIM))
+    out = np.zeros(value_shape + (DIM, DIM))
     for k in range(DIM):
         for p in range(DIM):
             h = cfg.step(a[k, p])
@@ -111,8 +92,22 @@ def fd_tensor_derivative(fn, a, cfg=FDConfig()):
             am[k, p] -= h
             _require_domain(fn, ap, f"probe (+h) of component ({k},{p})")
             _require_domain(fn, am, f"probe (-h) of component ({k},{p})")
-            out[:, :, k, p] = (fn.func(ap) - fn.func(am)) / (2.0 * h)
+            out[..., k, p] = (fn.func(ap) - fn.func(am)) / (2.0 * h)
     return out
+
+
+def fd_scalar_derivative(fn, a, cfg=FDConfig()):
+    """Central-difference derivative of a scalar-valued catalog entry."""
+    if fn.kind != "scalar":
+        raise ValueError(f"{fn.name} is not scalar-valued")
+    return _central_differences(fn, a, cfg, ())
+
+
+def fd_tensor_derivative(fn, a, cfg=FDConfig()):
+    """Central-difference derivative of a tensor-valued catalog entry (trailing layout)."""
+    if fn.kind != "tensor":
+        raise ValueError(f"{fn.name} is not tensor-valued")
+    return _central_differences(fn, a, cfg, (DIM, DIM))
 
 
 def gato_derivative(fn, a, direction, cfg=FDConfig()):
@@ -160,16 +155,14 @@ def d_invariant_3_compact(a):
 def d_invariant(k, a):
     """Derivative of the k-th principal invariant, k in {1, 2, 3}.
 
-    k = 3 uses the compact form where the argument is safely invertible and
-    falls back to the expanded form (which is total) otherwise.
+    k = 3 uses the expanded form: it is total, and near a singular argument
+    it keeps full precision where the compact form loses digits with det(A).
     """
     if k == 1:
         return d_invariant_1(a)
     if k == 2:
         return d_invariant_2(a)
     if k == 3:
-        if abs(np.linalg.det(np.asarray(a, dtype=float))) >= DET_FLOOR:
-            return d_invariant_3_compact(a)
         return d_invariant_3_expanded(a)
     raise ValueError(f"d_invariant: k must be 1, 2 or 3, got {k}")
 
@@ -213,20 +206,6 @@ def d_inverse(a):
     return -pos_dot(dot(b, iso_tensor("II")), b, 2)
 
 
-def chain_scalar(dphi_da, da_ds):
-    """Chain rule for a scalar function of a tensor-valued inner function.
-
-    Equals dphi_da : C_II : da_ds under the sequential contraction, i.e. the
-    cross contraction of the outer derivative with the inner one.
-    """
-    return ddot_cross(dphi_da, da_ds)
-
-
-def chain_tensor(dphi_da, da_ds):
-    """Chain rule for a tensor function of a tensor-valued inner function."""
-    return ddot_cross(dphi_da, da_ds)
-
-
 def product_rule_dot(a, da_ds, b, db_ds):
     """Derivative of A(S) . B(S): da_ds *2 B + A . db_ds."""
     return pos_dot(da_ds, b, 2) + dot(a, db_ds)
@@ -249,7 +228,7 @@ def linearization_check(fn, a, delta):
     _require_domain(fn, a + d, "the displaced point")
     predicted = ddot_seq(fn.deriv(a), transpose2(d))
     residual = fn.func(a + d) - fn.func(a) - predicted
-    return float(np.max(np.abs(residual)))
+    return maxabs(residual)
 
 
 # ---------------------------------------------------------------------------

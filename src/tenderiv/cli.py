@@ -9,9 +9,7 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .algebra import SingularTensorError
+from .algebra import SingularTensorError, maxabs
 from .bridge import to_nested_layout, to_trailing_layout
 from .calculus import DomainError, FDConfig, catalog, fd_scalar_derivative, fd_tensor_derivative
 from .serialize import SerializeError, dumps, load_json, matrix_obj, parse_matrix, parse_tensor4, tensor4_obj
@@ -49,6 +47,8 @@ def cmd_identities(args):
     if not (args.tol > 0.0):
         return _usage_error("--tol must be positive")
     seed = _default_seed() if args.seed is None else args.seed
+    if not 0 <= seed < 2**64:
+        return _usage_error(f"seed must be in [0, 2**64), got {seed}")
     summary = full_identity_suite(seed=seed, trials=args.trials, tol=args.tol)
     _emit(dumps(summary.to_obj()), args.out)
     failed = [r.name for r in summary.reports if not r.passed]
@@ -89,7 +89,7 @@ def cmd_deriv(args):
             else:
                 fd = fd_tensor_derivative(fn, at, cfg)
                 payload["fd"] = tensor4_obj(fd)
-            payload["fd_max_abs_err"] = float(np.max(np.abs(fd - analytic)))
+            payload["fd_max_abs_err"] = maxabs(fd - analytic)
     except (DomainError, SingularTensorError) as exc:
         payload["error"] = {"type": "domain-error", "message": str(exc)}
         _emit(dumps(payload), args.out)

@@ -25,6 +25,7 @@ from .algebra import (
     ddot_pos,
     ddot_seq,
     ident2,
+    maxabs,
     outer,
     trace,
 )
@@ -93,12 +94,12 @@ def isotropy_check(kind, q, tol=1e-12, name=None):
     to 1e-10.
     """
     q = np.asarray(q, dtype=float)
-    ortho_defect = float(np.max(np.abs(q.T @ q - np.eye(3))))
+    ortho_defect = maxabs(q.T @ q - np.eye(3))
     if ortho_defect > 1e-10:
         raise ValueError(f"isotropy_check: q is not orthogonal (defect {ortho_defect:.3e})")
     c = iso_tensor(kind)
-    err = float(np.max(np.abs(rotate4(c, q) - c)))
-    err2 = float(np.max(np.abs(q @ np.eye(3) @ q.T - np.eye(3))))
+    err = maxabs(rotate4(c, q) - c)
+    err2 = maxabs(q @ np.eye(3) @ q.T - np.eye(3))
     return CheckReport.from_measurement(
         name or f"iso/rotation-invariance/{kind}",
         trials=1,

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from .algebra import ddot_cross, ddot_pos, ddot_seq, dot, transpose2
+from .algebra import ddot_cross, ddot_pos, ddot_seq, dot, maxabs, transpose2
 from .bridge import (
     CONVENTION_ROWS,
     check_seq_transposers,
@@ -30,10 +30,6 @@ def _rng(seed, stream, trial):
     return trial_rng(seed, (stream << 32) | trial)
 
 
-def _maxabs(x):
-    return float(np.max(np.abs(x)))
-
-
 def _fuzz_report(name, seed, stream, trials, tol, trial_error):
     err = 0.0
     for t in range(trials):
@@ -47,7 +43,7 @@ def _fuzz_report(name, seed, stream, trials, tol, trial_error):
 
 def _err_cross_as_seq_transpose(rng):
     a, b = random_ten2(rng), random_ten2(rng)
-    scale = 1.0 + _maxabs(a) * _maxabs(b)
+    scale = 1.0 + maxabs(a) * maxabs(b)
     c = ddot_cross(a, b)
     return max(
         abs(c - ddot_seq(a, transpose2(b))),
@@ -57,7 +53,7 @@ def _err_cross_as_seq_transpose(rng):
 
 def _err_ddot_symmetry(rng):
     a, b = random_ten2(rng), random_ten2(rng)
-    scale = 1.0 + _maxabs(a) * _maxabs(b)
+    scale = 1.0 + maxabs(a) * maxabs(b)
     worst = 0.0
     for op in (ddot_seq, ddot_cross):
         v = op(a, b)
@@ -71,7 +67,7 @@ def _err_ddot_symmetry(rng):
 
 def _err_dot_ddot_associativity(rng):
     a, b, c = random_ten2(rng), random_ten2(rng), random_ten2(rng)
-    scale = 1.0 + _maxabs(a) * _maxabs(b) * _maxabs(c)
+    scale = 1.0 + maxabs(a) * maxabs(b) * maxabs(c)
     e1 = abs(ddot_seq(a, dot(b, c)) - ddot_seq(dot(a, b), c))
     e2 = abs(
         ddot_cross(a, dot(b, c))
@@ -82,7 +78,7 @@ def _err_dot_ddot_associativity(rng):
 
 def _err_pos_equals_cross_rank2(rng):
     a, b = random_ten2(rng), random_ten2(rng)
-    scale = 1.0 + _maxabs(a) * _maxabs(b)
+    scale = 1.0 + maxabs(a) * maxabs(b)
     return abs(ddot_pos(a, b) - ddot_cross(a, b)) / scale
 
 
@@ -91,8 +87,8 @@ def _cross_via_seq_error(x, y):
     ref = ddot_cross(x, y)
     via_left = ddot_seq(ddot_seq(x, c2), y)
     via_right = ddot_seq(x, ddot_seq(c2, y))
-    scale = 1.0 + _maxabs(x) * _maxabs(y)
-    return max(_maxabs(np.asarray(via_left) - ref), _maxabs(np.asarray(via_right) - ref)) / scale
+    scale = 1.0 + maxabs(x) * maxabs(y)
+    return max(maxabs(np.asarray(via_left) - ref), maxabs(np.asarray(via_right) - ref)) / scale
 
 
 _RANK_SAMPLERS = {2: random_ten2, 4: random_ten4}
@@ -137,7 +133,7 @@ def iso_role_reports(seed, trials, tol):
                     a = random_ten2(rng)
                     got = contraction_role(scheme, kind, a, side)
                     want = expected_role(scheme, kind, a)
-                    return _maxabs(got - want) / (1.0 + _maxabs(a))
+                    return maxabs(got - want) / (1.0 + maxabs(a))
 
                 reports.append(
                     _fuzz_report(f"iso/role/{scheme}/{kind}/{side}",
@@ -174,8 +170,8 @@ def bridge_reports(seed, trials, tol, fd_tol=1e-9):
     def roundtrip_error(rng):
         m = random_ten4(rng)
         return max(
-            _maxabs(to_trailing_layout(to_nested_layout(m)) - m),
-            _maxabs(to_nested_layout(to_trailing_layout(m)) - m),
+            maxabs(to_trailing_layout(to_nested_layout(m)) - m),
+            maxabs(to_nested_layout(to_trailing_layout(m)) - m),
         )
 
     reports.append(
@@ -184,10 +180,10 @@ def bridge_reports(seed, trials, tol, fd_tol=1e-9):
 
     c1, c2, c3 = iso_tensor("I"), iso_tensor("II"), iso_tensor("III")
     const_err = max(
-        _maxabs(to_nested_layout(c2) - c1),
-        _maxabs(to_nested_layout(c3) - c2),
-        _maxabs(to_trailing_layout(c1) - c2),
-        _maxabs(to_trailing_layout(c2) - c3),
+        maxabs(to_nested_layout(c2) - c1),
+        maxabs(to_nested_layout(c3) - c2),
+        maxabs(to_trailing_layout(c1) - c2),
+        maxabs(to_trailing_layout(c2) - c3),
     )
     reports.append(
         CheckReport.from_measurement("bridge/layout-constants", 1, const_err, tol, seed)
@@ -207,12 +203,8 @@ def bridge_reports(seed, trials, tol, fd_tol=1e-9):
     )
 
     for row in CONVENTION_ROWS:
-        base = convention_row_check(row, seed=seed, trials=trials)
-        # rows without a finite-difference part run at the algebraic tolerance
-        row_tol = fd_tol if base.tol > tol else tol
         reports.append(
-            CheckReport.from_measurement(base.name, base.trials, base.max_abs_err,
-                                         row_tol, seed)
+            convention_row_check(row, seed=seed, trials=trials, tol=tol, fd_tol=fd_tol)
         )
 
     reports.append(check_seq_transposers(seed=seed, trials=min(trials, 100), tol=tol))

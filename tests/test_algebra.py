@@ -118,9 +118,11 @@ def test_dot_matches_loop_oracle(ranks):
 
 
 def test_ddot_rejects_bad_ranks():
-    for op in (ddot_seq, ddot_cross, ddot_pos):
+    for op in (ddot_seq, ddot_cross, ddot_pos, dot, outer, box, boxhat):
         with pytest.raises(RankError):
             op(np.zeros(3), I)
+        with pytest.raises(RankError):
+            op(np.ones((2, 2)), np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from tenderiv import algebra
 from tenderiv.algebra import ddot_pos, ident2, one_hot2
 from tenderiv.basis import (
     DegenerateFrameError,
-    basis_from_frame,
     from_components,
     make_basis,
     to_components,
@@ -43,7 +43,7 @@ def test_degenerate_frame_raises():
 
 def test_duality_and_metric_inversion():
     for t in range(50):
-        b = basis_from_frame(random_frame(trial_rng(200, t)))
+        b = make_basis(*random_frame(trial_rng(200, t)))
         assert maxabs(b.frame @ b.reciprocal.T - np.eye(3)) <= 1e-12
         assert maxabs(b.g_lo @ b.g_hi - np.eye(3)) <= 1e-12
         assert maxabs(b.g_lo - b.g_lo.T) == 0.0
@@ -60,7 +60,7 @@ def test_orthonormal_components_are_cartesian_entries():
 def test_component_roundtrip_all_variances():
     for t in range(10):
         rng = trial_rng(201, t)
-        b = basis_from_frame(random_frame(rng))
+        b = make_basis(*random_frame(rng))
         a = random_ten2(rng)
         for v in itertools.product(("lo", "hi"), repeat=2):
             back = from_components(to_components(a, b, v), b, v)
@@ -73,13 +73,13 @@ def test_component_roundtrip_all_variances():
 
 def test_mixed_components_of_unit_tensor_are_kronecker():
     for t in range(10):
-        b = basis_from_frame(random_frame(trial_rng(202, t)))
+        b = make_basis(*random_frame(trial_rng(202, t)))
         assert maxabs(to_components(ident2(), b, ("lo", "hi")) - np.eye(3)) <= 1e-12
         assert maxabs(from_components(np.eye(3), b, ("lo", "hi")) - ident2()) <= 1e-12
 
 
 def test_zero_components_reassemble_to_zero():
-    b = basis_from_frame(random_frame(trial_rng(207, 0)))
+    b = make_basis(*random_frame(trial_rng(207, 0)))
     assert maxabs(from_components(np.zeros((3, 3)), b, ("lo", "hi"))) == 0.0
     assert maxabs(from_components(np.zeros((3, 3, 3, 3)), b, ("hi",) * 4)) == 0.0
 
@@ -100,7 +100,7 @@ ISO_PATTERNS = {
 def test_iso_tensor_component_patterns(kind):
     c = iso_tensor(kind)
     for t in range(10):
-        b = basis_from_frame(random_frame(trial_rng(203, t)))
+        b = make_basis(*random_frame(trial_rng(203, t)))
         for pattern in ISO_PATTERNS[kind]:
             assert maxabs(to_components(c, b, pattern) - c) <= 1e-11
             assert maxabs(from_components(c, b, pattern) - c) <= 1e-11
@@ -117,11 +117,16 @@ OPS_AND_RANKS = [
 _SAMPLE = {2: random_ten2, 4: random_ten4}
 
 
+def test_every_table_row_has_an_invariance_case():
+    # keys only: the subscripts are checked by the invariance cases and loop oracles
+    assert set(algebra.SUBSCRIPTS) == set(OPS_AND_RANKS)
+
+
 @pytest.mark.parametrize("op,ranks", OPS_AND_RANKS)
 def test_products_are_basis_invariant(op, ranks):
     for t in range(15):
         rng = trial_rng(204, t)
-        b = basis_from_frame(random_frame(rng))
+        b = make_basis(*random_frame(rng))
         x, y = _SAMPLE[ranks[0]](rng), _SAMPLE[ranks[1]](rng)
         vx = tuple(rng.choice(["lo", "hi"]) for _ in range(ranks[0]))
         vy = tuple(rng.choice(["lo", "hi"]) for _ in range(ranks[1]))
@@ -147,7 +152,7 @@ def test_orthonormal_basis_paths_agree_tightly():
 def test_positional_unit_role_in_random_basis():
     for t in range(10):
         rng = trial_rng(206, t)
-        b = basis_from_frame(random_frame(rng))
+        b = make_basis(*random_frame(rng))
         a = random_ten2(rng)
         report = verify_basis_invariance("ddot_pos", (a, iso_tensor("I")), b)
         assert report.passed

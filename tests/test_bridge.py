@@ -16,8 +16,6 @@ from tenderiv.algebra import (
 )
 from tenderiv.bridge import (
     CONVENTION_ROWS,
-    check_rank2_bridge,
-    check_rank4_bridge,
     check_seq_transposers,
     convention_row_check,
     rank2_bridge_error,
@@ -28,6 +26,7 @@ from tenderiv.bridge import (
 from tenderiv.calculus import d_inverse, d_square
 from tenderiv.isotropic import iso_tensor
 from tenderiv.rng import random_near_identity, random_ten2, random_ten4, trial_rng
+from tenderiv.suites import full_identity_suite
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])
@@ -78,8 +77,7 @@ def test_rank2_bridge_spot_values():
 def test_rank2_bridge_fuzz():
     for t in range(200):
         rng = trial_rng(502, t)
-        report = check_rank2_bridge(random_ten2(rng), random_ten4(rng))
-        assert report.passed and report.max_abs_err <= 1e-12
+        assert rank2_bridge_error(random_ten2(rng), random_ten4(rng)) <= 1e-12
 
 
 def test_rank4_bridge_iso_case():
@@ -92,8 +90,7 @@ def test_rank4_bridge_iso_case():
 def test_rank4_bridge_fuzz():
     for t in range(200):
         rng = trial_rng(503, t)
-        report = check_rank4_bridge(random_ten4(rng), random_ten4(rng))
-        assert report.passed and report.max_abs_err <= 1e-12
+        assert rank4_bridge_error(random_ten4(rng), random_ten4(rng)) <= 1e-12
 
 
 def test_seq_transposer_identities():
@@ -108,6 +105,16 @@ def test_seq_transposer_identities():
 def test_convention_rows_pass(row):
     report = convention_row_check(row, seed=11, trials=40)
     assert report.passed, f"{row}: err={report.max_abs_err:.3e} tol={report.tol:.0e}"
+
+
+def test_rule_rows_keep_algebraic_tolerance():
+    fd_rows = {"bridge/rule/square", "bridge/rule/inverse"}
+    for tol, want_algebraic in ((1e-14, 1e-14), (1e-12, 1e-12)):
+        rows = [r for r in full_identity_suite(1, 2, tol=tol).reports
+                if r.name.startswith("bridge/rule/")]
+        assert len(rows) == 7
+        for r in rows:
+            assert r.tol == (1e-9 if r.name in fd_rows else want_algebraic), r.name
 
 
 def test_convention_row_unknown():

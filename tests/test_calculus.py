@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from tenderiv.calculus import (
     FDConfig,
     TensorFunction,
     catalog,
-    chain_scalar,
-    chain_tensor,
     d_identity,
     d_invariant,
     d_invariant_3_compact,
@@ -160,6 +159,21 @@ def test_d_invariant_3_forms_agree():
         assert relerr(compact, expanded) <= 1e-12
 
 
+def test_d_invariant_3_keeps_digits_near_singularity():
+    # singular values (2, 1, 1e-7): det = 2e-7 sits above DET_FLOOR
+    q1, _ = np.linalg.qr(random_ten2(trial_rng(426, 0)))
+    q2, _ = np.linalg.qr(random_ten2(trial_rng(426, 1)))
+    a = q1 @ np.diag([2.0, 1.0, 1e-7]) @ q2.T
+    m = [[Fraction(float(v)) for v in row] for row in a]
+    exact = np.zeros((3, 3))
+    for i, j in itertools.product(range(3), repeat=2):
+        r0, r1 = [r for r in range(3) if r != i]
+        c0, c1 = [c for c in range(3) if c != j]
+        minor = m[r0][c0] * m[r1][c1] - m[r0][c1] * m[r1][c0]
+        exact[i, j] = float((-1) ** (i + j) * minor)
+    assert relerr(d_invariant(3, a), exact) <= 1e-14
+
+
 def test_d_invariant_3_total_on_singular_input():
     singular = np.diag([1.0, 1.0, 0.0])
     got = d_invariant(3, singular)
@@ -216,11 +230,11 @@ def test_d_power_matches_cube_fd():
 
 def test_chain_scalar_identity_inner():
     g = random_ten2(trial_rng(410, 0))
-    assert maxabs(chain_scalar(g, C2) - g) == 0.0
+    assert maxabs(ddot_cross(g, C2) - g) == 0.0
 
 
 def test_chain_scalar_trace_of_square():
-    got = chain_scalar(d_invariant(1, matpow(D, 2)), d_square(D))
+    got = ddot_cross(d_invariant(1, matpow(D, 2)), d_square(D))
     assert np.allclose(got, d_trace_power(2, D))
     assert np.allclose(got, 2.0 * D)
 
@@ -232,14 +246,14 @@ def test_chain_scalar_against_composite_fd():
     )
     for t in range(20):
         s = random_ten2(trial_rng(411, t))
-        analytic = chain_scalar(d_invariant(2, transpose2(s)), d_transpose(s))
+        analytic = ddot_cross(d_invariant(2, transpose2(s)), d_transpose(s))
         fd = fd_scalar_derivative(composite, s, CFG)
         assert relerr(fd, analytic) <= 1e-9
 
 
 def test_chain_tensor_identity_inner():
     p = random_ten4(trial_rng(412, 0))
-    assert maxabs(chain_tensor(p, C2) - p) == 0.0
+    assert maxabs(ddot_cross(p, C2) - p) == 0.0
 
 
 def test_chain_tensor_square_of_transpose():
@@ -249,7 +263,7 @@ def test_chain_tensor_square_of_transpose():
     )
     for t in range(20):
         s = random_ten2(trial_rng(413, t))
-        analytic = chain_tensor(d_square(transpose2(s)), d_transpose(s))
+        analytic = ddot_cross(d_square(transpose2(s)), d_transpose(s))
         fd = fd_tensor_derivative(composite, s, CFG)
         assert relerr(fd, analytic) <= 1e-9
 
@@ -261,7 +275,7 @@ def test_chain_tensor_inverse_of_square():
     )
     for t in range(20):
         s = np.eye(3) + 0.2 * random_ten2(trial_rng(414, t))
-        analytic = chain_tensor(d_inverse(matpow(s, 2)), d_square(s))
+        analytic = ddot_cross(d_inverse(matpow(s, 2)), d_square(s))
         fd = fd_tensor_derivative(composite, s, CFG)
         assert relerr(fd, analytic) <= 1e-7
 
@@ -309,9 +323,9 @@ def test_product_rule_scalar_tensor_with_chain_expansion():
         psi = invariants(s).i2
         analytic = product_rule_scalar_tensor(
             matpow(s, 2),
-            chain_scalar(d_invariant(2, s), d_identity(s)),
+            ddot_cross(d_invariant(2, s), d_identity(s)),
             psi,
-            chain_tensor(d_square(s), d_identity(s)),
+            ddot_cross(d_square(s), d_identity(s)),
         )
         fd = fd_tensor_derivative(composite, s, CFG)
         assert relerr(fd, analytic) <= 1e-8

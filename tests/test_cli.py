@@ -43,12 +43,20 @@ def test_identities_env_seed(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["reports"][0]["seed"] == 7
     monkeypatch.setenv("TENDERIV_SEED", "not-a-number")
     assert main(["identities", "--trials", "10"]) == 2
+    for raw in ("-1", "18446744073709551616"):
+        monkeypatch.setenv("TENDERIV_SEED", raw)
+        assert main(["identities", "--trials", "10"]) == 2
+    monkeypatch.setenv("TENDERIV_SEED", "0xffffffffffffffff")
+    assert main(["identities", "--trials", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["reports"][0]["seed"] == 2**64 - 1
 
 
 def test_identities_usage_errors():
     assert main(["identities", "--trials", "0"]) == 2
     assert main(["identities", "--tol", "0"]) == 2
     assert main(["identities", "--trials", "x"]) == 2
+    assert main(["identities", "--seed", "-1"]) == 2
+    assert main(["identities", "--seed", "18446744073709551616"]) == 2
 
 
 def test_deriv_scalar(tmp_path, capsys, diag_path):
