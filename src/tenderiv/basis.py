@@ -178,7 +178,7 @@ def verify_basis_invariance(op_name, operands, basis, variances=None, tol=1e-12)
     return CheckReport.from_measurement(
         f"basis/{op_name}",
         trials=1,
-        max_abs_err=err / scale,
+        errors=err / scale,
         tol=tol,
         seed=0,
     )

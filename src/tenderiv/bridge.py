@@ -43,8 +43,8 @@ from .calculus import (
 )
 from .calculus import catalog as _calculus_catalog
 from .isotropic import iso_tensor
-from .reporting import CheckReport
-from .rng import random_near_identity, random_ten2, random_ten4, trial_rng
+from .reporting import fuzz_report
+from .rng import random_near_identity, random_ten2, random_ten4
 
 
 def to_nested_layout(d4):
@@ -93,13 +93,13 @@ def check_seq_transposers(seed=0, trials=100, tol=1e-12):
     The second statement is fuzzed: D : C_III = D for random fourth-rank D.
     """
     c2, c3 = iso_tensor("II"), iso_tensor("III")
-    err = maxabs(ddot_seq(c2, c2) - c3)
-    for t in range(trials):
-        d = random_ten4(trial_rng(seed, t))
-        err = max(err, maxabs(ddot_seq(d, c3) - d) / (1.0 + maxabs(d)))
-    return CheckReport.from_measurement(
-        "bridge/seq-transposer-identities", trials, err, tol, seed
-    )
+    square_err = maxabs(ddot_seq(c2, c2) - c3)
+
+    def trial_error(rng):
+        d = random_ten4(rng)
+        return max(square_err, maxabs(ddot_seq(d, c3) - d) / (1.0 + maxabs(d)))
+
+    return fuzz_report("bridge/seq-transposer-identities", seed, trials, tol, trial_error)
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +129,17 @@ def _row_product_dot(rng, fd_cfg):
 
 
 def _row_unit_and_transposer(rng, fd_cfg):
-    eye = ident2()
-    c1, c2, c3 = iso_tensor("I"), iso_tensor("II"), iso_tensor("III")
+    # C_II is the cross unit and C_III the cross transposer; their nested
+    # forms play the same roles under the positional contraction.
+    a = random_ten2(rng)
+    at = transpose2(a)
+    c2, c3 = iso_tensor("II"), iso_tensor("III")
     return max(
-        maxabs(c2 - box(eye, eye)),
-        maxabs(c3 - boxhat(eye, eye)),
-        maxabs(to_nested_layout(c2) - c1),
-        maxabs(to_nested_layout(c3) - c2),
-    )
+        maxabs(ddot_cross(a, c2) - a),
+        maxabs(ddot_pos(a, to_nested_layout(c2)) - a),
+        maxabs(ddot_cross(a, c3) - at),
+        maxabs(ddot_pos(a, to_nested_layout(c3)) - at),
+    ) / (1.0 + maxabs(a))
 
 
 def _row_square(rng, fd_cfg):
@@ -213,9 +216,5 @@ def convention_row_check(row, seed=0, trials=200, tol=1e-12, fd_tol=1e-9, fd_cfg
             f"unknown convention row {row!r}; expected one of {sorted(CONVENTION_ROWS)}"
         )
     evaluate, uses_fd = CONVENTION_ROWS[row]
-    err = 0.0
-    for t in range(trials):
-        err = max(err, evaluate(trial_rng(seed, t), fd_cfg))
-    return CheckReport.from_measurement(
-        f"bridge/rule/{row}", trials, err, fd_tol if uses_fd else tol, seed
-    )
+    return fuzz_report(f"bridge/rule/{row}", seed, trials, fd_tol if uses_fd else tol,
+                       lambda rng: evaluate(rng, fd_cfg))

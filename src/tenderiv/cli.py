@@ -9,6 +9,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .algebra import SingularTensorError, maxabs
 from .bridge import to_nested_layout, to_trailing_layout
 from .calculus import DomainError, FDConfig, catalog, fd_scalar_derivative, fd_tensor_derivative
@@ -62,6 +64,12 @@ def cmd_identities(args):
     return 0 if summary.all_pass else 1
 
 
+def _finite(what, value):
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"{what} is not finite at this argument")
+    return value
+
+
 def cmd_deriv(args):
     fns = catalog()
     if args.fn not in fns:
@@ -74,22 +82,18 @@ def cmd_deriv(args):
         return _usage_error(str(exc))
 
     fn = fns[args.fn]
+    as_obj = matrix_obj if fn.kind == "scalar" else tensor4_obj
+    fd_derivative = fd_scalar_derivative if fn.kind == "scalar" else fd_tensor_derivative
     payload = {"fn": fn.name, "kind": fn.kind, "at": matrix_obj(at)}
     try:
-        analytic = fn.deriv(at)
-        if fn.kind == "scalar":
-            payload["derivative"] = matrix_obj(analytic)
-        else:
-            payload["derivative"] = tensor4_obj(analytic)
-        if args.fd_check:
-            cfg = FDConfig()
-            if fn.kind == "scalar":
-                fd = fd_scalar_derivative(fn, at, cfg)
-                payload["fd"] = matrix_obj(fd)
-            else:
-                fd = fd_tensor_derivative(fn, at, cfg)
-                payload["fd"] = tensor4_obj(fd)
-            payload["fd_max_abs_err"] = maxabs(fd - analytic)
+        # overflow shows up as a non-finite result, reported as a domain error
+        with np.errstate(all="ignore"):
+            analytic = _finite("derivative", fn.deriv(at))
+            payload["derivative"] = as_obj(analytic)
+            if args.fd_check:
+                fd = _finite("finite-difference derivative", fd_derivative(fn, at, FDConfig()))
+                payload["fd"] = as_obj(fd)
+                payload["fd_max_abs_err"] = _finite("fd_max_abs_err", maxabs(fd - analytic))
     except (DomainError, SingularTensorError) as exc:
         payload["error"] = {"type": "domain-error", "message": str(exc)}
         _emit(dumps(payload), args.out)

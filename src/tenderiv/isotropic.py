@@ -87,23 +87,21 @@ def rotate4(c, q):
     return np.einsum("ip,jq,kr,ls,pqrs->ijkl", q, q, q, q, c)
 
 
-def isotropy_check(kind, q, tol=1e-12, name=None):
-    """Verify that rotating every slot of an isotropic tensor leaves it unchanged.
+def rotation_error(kind, q):
+    """Worst change of an isotropic tensor, and of q I q^T against I, under q.
 
-    Also checks the second-rank statement q I q^T = I.  q must be orthogonal
-    to 1e-10.
+    q must be orthogonal to 1e-10.
     """
     q = np.asarray(q, dtype=float)
     ortho_defect = maxabs(q.T @ q - np.eye(3))
-    if ortho_defect > 1e-10:
-        raise ValueError(f"isotropy_check: q is not orthogonal (defect {ortho_defect:.3e})")
+    if not ortho_defect <= 1e-10:
+        raise ValueError(f"q is not orthogonal (defect {ortho_defect:.3e})")
     c = iso_tensor(kind)
-    err = maxabs(rotate4(c, q) - c)
-    err2 = maxabs(q @ np.eye(3) @ q.T - np.eye(3))
+    return max(maxabs(rotate4(c, q) - c), maxabs(q @ np.eye(3) @ q.T - np.eye(3)))
+
+
+def isotropy_check(kind, q, tol=1e-12):
+    """Verify that rotating every slot of an isotropic tensor leaves it unchanged."""
     return CheckReport.from_measurement(
-        name or f"iso/rotation-invariance/{kind}",
-        trials=1,
-        max_abs_err=max(err, err2),
-        tol=tol,
-        seed=0,
+        f"iso/rotation-invariance/{kind}", 1, rotation_error(kind, q), tol, seed=0
     )

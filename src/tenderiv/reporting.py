@@ -1,13 +1,20 @@
-"""Check reports produced by the verification suites."""
+"""Check reports produced by the verification suites, and the trial loop behind them."""
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from .rng import report_rng
 
 
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one named identity check.
 
-    ``passed`` is true exactly when ``max_abs_err <= tol``.  Errors are
+    ``max_abs_err`` is the worst finite trial error and ``nonfinite`` counts
+    the trials whose error was NaN or infinite; ``passed`` is true exactly
+    when ``nonfinite == 0`` and ``max_abs_err <= tol``.  Errors are
     scale-normalized by the producing check (see suites), so ``tol`` is the
     base tolerance of the identity.
     """
@@ -18,21 +25,36 @@ class CheckReport:
     tol: float
     passed: bool
     seed: int
+    nonfinite: int = 0
 
     @classmethod
-    def from_measurement(cls, name, trials, max_abs_err, tol, seed):
-        err = float(max_abs_err)
-        return cls(name, int(trials), err, float(tol), err <= float(tol), int(seed))
+    def from_measurement(cls, name, trials, errors, tol, seed):
+        """Report from one error or a sequence of trial errors."""
+        errors = np.asarray(errors, dtype=float).ravel().tolist()
+        finite = [e for e in errors if math.isfinite(e)]
+        nonfinite = len(errors) - len(finite)
+        err, tol = max(finite, default=0.0), float(tol)
+        return cls(name, int(trials), err, tol, nonfinite == 0 and err <= tol, int(seed),
+                   nonfinite)
 
     def to_obj(self):
         return {
             "name": self.name,
             "trials": self.trials,
             "max_abs_err": self.max_abs_err,
+            "nonfinite": self.nonfinite,
             "tol": self.tol,
             "pass": self.passed,
             "seed": self.seed,
         }
+
+
+def fuzz_report(name, seed, trials, tol, trial_error):
+    """Run ``trial_error(rng)`` ``trials`` times on the report's own generator."""
+    rng = report_rng(seed, name)
+    return CheckReport.from_measurement(
+        name, trials, [trial_error(rng) for _ in range(trials)], tol, seed
+    )
 
 
 @dataclass

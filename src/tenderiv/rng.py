@@ -2,19 +2,33 @@
 
 Streams come from the Philox counter-based generator (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3").  The 128-bit Philox key is
-``(seed << 64) | trial``, so every (seed, trial) pair owns an independent
-substream and results do not depend on execution order or parallel schedule.
+``(seed << 64) | substream``.  Each report of a suite draws all of its trials
+from one generator whose substream is a stable 64-bit hash of the report's
+name (``report_rng``), so reports never share operands and results do not
+depend on execution order or parallel schedule.
 """
+
+import hashlib
 
 import numpy as np
 
 from .algebra import DIM
 
 
-def trial_rng(seed, trial=0):
-    """Independent generator for one trial of a seeded suite."""
-    key = (int(seed) << 64) | int(trial)
+def trial_rng(seed, substream=0):
+    """Independent generator for one (seed, substream) pair."""
+    key = (int(seed) << 64) | int(substream)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def report_substream(name):
+    """Stable 64-bit substream of a report name: its 8-byte BLAKE2b digest."""
+    return int.from_bytes(hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
+
+
+def report_rng(seed, name):
+    """The one generator that every trial of the named report draws from."""
+    return trial_rng(seed, report_substream(name))
 
 
 def random_ten2(rng, scale=1.0):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import tenderiv.bridge
+
 from tenderiv.algebra import (
     box,
     boxhat,
@@ -154,3 +156,10 @@ def test_interleave_transpose_chain():
         a, b = random_ten2(rng), random_ten2(rng)
         assert np.array_equal(to_nested_layout(outer(a, b)), boxhat(a, b))
         assert np.array_equal(np.transpose(box(a, b), (0, 1, 3, 2)), boxhat(a, b))
+
+
+def test_unit_and_transposer_row_fails_on_a_wrong_contraction(monkeypatch):
+    # a cross contraction that transposes its result breaks the unit role of C_II
+    monkeypatch.setattr(tenderiv.bridge, "ddot_cross", lambda x, y: ddot_cross(x, y).T)
+    report = convention_row_check("unit_and_transposer", seed=3, trials=5)
+    assert not report.passed

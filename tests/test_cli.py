@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -122,3 +123,15 @@ def test_convert_parse_errors(tmp_path):
 
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("fn", ["cube", "I3", "square"])
+def test_deriv_overflow_is_a_domain_error(tmp_path, capsys, fn):
+    huge = write(tmp_path / "huge.json", matrix_obj(np.diag([1e200] * 3)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["deriv", "--fn", fn, "--at", huge, "--fd-check"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["type"] == "domain-error"
+    assert "RuntimeWarning" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

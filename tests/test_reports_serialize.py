@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tenderiv.reporting import CheckReport, RunSummary
+from tenderiv.reporting import CheckReport, RunSummary, fuzz_report
 from tenderiv.serialize import (
     SerializeError,
     dumps,
@@ -78,3 +78,16 @@ def test_load_json_missing_file(tmp_path):
     bad.write_text('{"matrix": [[1,')
     with pytest.raises(SerializeError):
         load_json(bad)
+
+
+def test_nonfinite_trial_error_fails_and_serializes():
+    errors = iter([0.0, float("nan"), 1e-20])
+    report = fuzz_report("x", 3, 3, 1e-12, lambda rng: next(errors))
+    assert not report.passed
+    assert report.nonfinite == 1
+    assert report.max_abs_err == 1e-20
+    summary = RunSummary(reports=[report])
+    assert not summary.all_pass
+    obj = json.loads(dumps(summary.to_obj()))
+    assert obj["reports"][0]["nonfinite"] == 1
+    assert obj["reports"][0]["pass"] is False

@@ -1,0 +1,44 @@
+import json
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
+
+import tenderiv.bridge
+from tenderiv.bridge import check_seq_transposers, convention_row_check
+from tenderiv.rng import report_rng, report_substream, trial_rng
+
+EXPECTED_REPORTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected_reports.json"
+
+
+def test_report_substreams_are_distinct():
+    names = json.loads(EXPECTED_REPORTS.read_text())
+    assert len(names) == 41
+    for a, b in combinations(names, 2):
+        assert report_substream(a) != report_substream(b), (a, b)
+
+
+def test_report_rng_is_keyed_by_seed_and_name():
+    name = "bridge/rule/chain_tensor"
+    key = report_substream(name)
+    assert 0 <= key < 2**64
+    assert np.array_equal(report_rng(5, name).uniform(size=4), trial_rng(5, key).uniform(size=4))
+    assert not np.array_equal(report_rng(5, name).uniform(size=4),
+                              report_rng(6, name).uniform(size=4))
+
+
+def test_reports_draw_different_operands(monkeypatch):
+    first_draws = []
+    real = tenderiv.bridge.random_ten4
+
+    def recording(rng, *args, **kwargs):
+        d = real(rng, *args, **kwargs)
+        first_draws.append(d)
+        return d
+
+    monkeypatch.setattr(tenderiv.bridge, "random_ten4", recording)
+    convention_row_check("chain_tensor", seed=5, trials=1)
+    row_draw = first_draws[0]
+    first_draws.clear()
+    check_seq_transposers(seed=5, trials=1)
+    assert not np.array_equal(row_draw, first_draws[0])
