@@ -5,11 +5,10 @@
 import numpy as np
 
 from tenderiv import (
-    FDConfig,
     catalog,
     d_inverse,
+    d_power,
     ddot_cross,
-    d_square,
     fd_scalar_derivative,
     fd_tensor_derivative,
     inverse2,
@@ -21,7 +20,6 @@ from tenderiv import (
 np.set_printoptions(precision=4, suppress=True)
 
 cat = catalog()
-cfg = FDConfig()
 rng = np.random.default_rng(3)
 A = rng.uniform(-1, 1, (3, 3))
 D = np.diag([1.0, 2.0, 3.0])
@@ -30,7 +28,7 @@ print("Scalar functions.  Derivative entries are df/dA[i,j].")
 for name in ("I1", "I2", "I3"):
     fn = cat[name]
     analytic = fn.deriv(D)
-    fd = fd_scalar_derivative(fn, D, cfg)
+    fd = fd_scalar_derivative(fn, D)
     print(f"\nd{name}/dA at diag(1,2,3):\n{analytic}")
     print(f"  max |analytic - central difference| = {np.max(np.abs(analytic - fd)):.3e}")
 
@@ -43,13 +41,13 @@ for name in ("square", "cube", "inverse"):
     fn = cat[name]
     at = np.eye(3) + 0.3 * rng.uniform(-1, 1, (3, 3)) if name == "inverse" else A
     analytic = fn.deriv(at)
-    fd = fd_tensor_derivative(fn, at, cfg)
+    fd = fd_tensor_derivative(fn, at)
     print(f"  {name:8s} max |analytic - FD| = {np.max(np.abs(analytic - fd)):.3e}")
 
 print("\nChain rule (the cross double contraction of the outer derivative with")
 print("the inner one): d/dS of (S^2)^-1 at a point near the identity.")
 S = np.eye(3) + 0.2 * rng.uniform(-1, 1, (3, 3))
-composite = ddot_cross(d_inverse(matpow(S, 2)), d_square(S))
+composite = ddot_cross(d_inverse(matpow(S, 2)), d_power(2, S))
 direct_fn = cat["inverse"]
 
 

@@ -8,7 +8,7 @@ from tenderiv import (
     box,
     boxhat,
     d_inverse,
-    d_square,
+    d_power,
     ddot_cross,
     ddot_pos,
     ddot_seq,
@@ -40,7 +40,7 @@ print("  and dA^T/dA: trailing C_III -> nested:", "C_II" if np.array_equal(
 
 A = rng.uniform(-1, 1, (3, 3))
 print("\nd(A^2)/dA in three spellings, one object:")
-d2 = d_square(A)
+d2 = d_power(2, A)
 print("  operator form vs interleave A box I + I box A^T:",
       np.max(np.abs(d2 - (box(A, I) + box(I, A.T)))))
 print("  nested image vs outer I(x)A + A(x)I            :",

@@ -52,14 +52,11 @@ from .bridge import (
 )
 from .calculus import (
     DomainError,
-    FDConfig,
     TensorFunction,
     catalog,
-    d_identity,
     d_invariant,
     d_inverse,
     d_power,
-    d_square,
     d_trace_power,
     d_transpose,
     fd_scalar_derivative,
@@ -69,7 +66,7 @@ from .calculus import (
     product_rule_dot,
     product_rule_scalar_tensor,
 )
-from .isotropic import contraction_role, expected_role, iso_tensor, isotropy_check
+from .isotropic import contraction_role, expected_role, iso_tensor
 from .reporting import CheckReport, RunSummary
 from .suites import full_identity_suite
 

@@ -250,11 +250,11 @@ def invariants(a):
     return Invariants(t1, i2, i3)
 
 
-def inverse2(a, det_floor=DET_FLOOR):
-    """Inverse of a second-rank tensor; raises SingularTensorError below det_floor."""
+def inverse2(a):
+    """Inverse of a second-rank tensor; raises SingularTensorError when |det| < DET_FLOOR."""
     a = np.asarray(a, dtype=float)
     det = float(np.linalg.det(a))
-    if abs(det) < det_floor:
+    if abs(det) < DET_FLOOR:
         raise SingularTensorError(det)
     return np.linalg.inv(a)
 

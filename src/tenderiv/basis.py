@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import DIM, maxabs
+from .algebra import DET_FLOOR, DIM, maxabs
 from .reporting import CheckReport
 
 
@@ -42,20 +42,21 @@ class Basis:
     g_hi: np.ndarray
 
 
-def make_basis(v1, v2, v3, min_triple=1e-8):
+def make_basis(v1, v2, v3):
     """Build a basis from three frame vectors.
 
     The reciprocal vectors are the rows of the inverse-transposed frame
     matrix, which enforces r_i . r^j = d_i^j exactly up to rounding.
 
     Raises DegenerateFrameError when the triple product of the frame is
-    smaller than ``min_triple`` in magnitude.
+    smaller than DET_FLOOR in magnitude, the floor below which inverse2
+    refuses a tensor.
     """
     frame = np.array([v1, v2, v3], dtype=float)
     if frame.shape != (DIM, DIM) or not np.all(np.isfinite(frame)):
         raise ValueError("make_basis: expected three finite 3-vectors")
     triple = float(np.linalg.det(frame))
-    if abs(triple) < min_triple:
+    if abs(triple) < DET_FLOOR:
         raise DegenerateFrameError(triple)
     reciprocal = np.linalg.inv(frame).T
     return Basis(

@@ -16,7 +16,9 @@ tensors with a derivative give the same answer whether written with the
 sequential, cross or positional convention, once each operand is expressed
 in the layout native to its convention.  The row checks at the bottom verify
 this for the chain rules, the product rules and the closed-form derivatives
-of A, A^T, A^2 and A^-1.
+of A, A^T, A^2 and A^-1.  The A^2 and A^-1 rows also compare against the
+finite-difference oracle, whose truncation error sits far above rounding;
+``convention_row_check`` is the one place that sets their tolerance.
 """
 
 from .algebra import (
@@ -34,9 +36,8 @@ from .algebra import (
     transpose4,
 )
 from .calculus import (
-    FDConfig,
     d_inverse,
-    d_square,
+    d_power,
     fd_tensor_derivative,
     product_rule_dot,
     product_rule_scalar_tensor,
@@ -45,6 +46,9 @@ from .calculus import catalog as _calculus_catalog
 from .isotropic import iso_tensor
 from .reporting import fuzz_report
 from .rng import random_near_identity, random_ten2, random_ten4
+
+# Tolerance floor of the rows that compare against the finite-difference oracle.
+FD_TOL = 1e-9
 
 
 def to_nested_layout(d4):
@@ -106,15 +110,15 @@ def check_seq_transposers(seed=0, trials=100, tol=1e-12):
 # Cross-convention rows
 # ---------------------------------------------------------------------------
 
-def _row_chain_scalar(rng, fd_cfg):
+def _row_chain_scalar(rng):
     return rank2_bridge_error(random_ten2(rng), random_ten4(rng))
 
 
-def _row_chain_tensor(rng, fd_cfg):
+def _row_chain_tensor(rng):
     return rank4_bridge_error(random_ten4(rng), random_ten4(rng))
 
 
-def _row_product_dot(rng, fd_cfg):
+def _row_product_dot(rng):
     a, b = random_ten2(rng), random_ten2(rng)
     la, lb = random_ten4(rng), random_ten4(rng)
     eye = ident2()
@@ -128,7 +132,7 @@ def _row_product_dot(rng, fd_cfg):
     ) / scale
 
 
-def _row_unit_and_transposer(rng, fd_cfg):
+def _row_unit_and_transposer(rng):
     # C_II is the cross unit and C_III the cross transposer; their nested
     # forms play the same roles under the positional contraction.
     a = random_ten2(rng)
@@ -142,11 +146,11 @@ def _row_unit_and_transposer(rng, fd_cfg):
     ) / (1.0 + maxabs(a))
 
 
-def _row_square(rng, fd_cfg):
+def _row_square(rng):
     a = random_ten2(rng)
     eye = ident2()
     c1 = iso_tensor("I")
-    analytic = d_square(a)
+    analytic = d_power(2, a)
     interleaved = box(a, eye) + box(eye, transpose2(a))
     nested = dot(c1, a) + dot(a, c1)
     scale = 1.0 + maxabs(a)
@@ -154,12 +158,12 @@ def _row_square(rng, fd_cfg):
         maxabs(interleaved - analytic),
         maxabs(nested - to_nested_layout(analytic)),
     ) / scale
-    fd = fd_tensor_derivative(_CATALOG["square"], a, fd_cfg)
+    fd = fd_tensor_derivative(_CATALOG["square"], a)
     err = max(err, maxabs(fd - analytic) / (1.0 + maxabs(analytic)))
     return err
 
 
-def _row_inverse(rng, fd_cfg):
+def _row_inverse(rng):
     a = random_near_identity(rng)
     b = inverse2(a)
     analytic = d_inverse(a)
@@ -170,12 +174,12 @@ def _row_inverse(rng, fd_cfg):
         maxabs(interleaved - analytic),
         maxabs(nested - to_nested_layout(analytic)),
     ) / scale
-    fd = fd_tensor_derivative(_CATALOG["inverse"], a, fd_cfg)
+    fd = fd_tensor_derivative(_CATALOG["inverse"], a)
     err = max(err, maxabs(fd - analytic) / (1.0 + maxabs(analytic)))
     return err
 
 
-def _row_scalar_times_tensor(rng, fd_cfg):
+def _row_scalar_times_tensor(rng):
     lam = random_ten2(rng)
     dpsi = random_ten2(rng)
     psi = float(rng.uniform(-2.0, 2.0))
@@ -205,16 +209,16 @@ CONVENTION_ROWS = {
 }
 
 
-def convention_row_check(row, seed=0, trials=200, tol=1e-12, fd_tol=1e-9, fd_cfg=FDConfig()):
+def convention_row_check(row, seed=0, trials=200, tol=1e-12):
     """Fuzz one cross-convention row and report the worst normalized error.
 
     Rows that compare against the finite-difference oracle are held to
-    ``fd_tol``, the purely algebraic rows to ``tol``.
+    max(tol, FD_TOL), the purely algebraic rows to ``tol``.
     """
     if row not in CONVENTION_ROWS:
         raise ValueError(
             f"unknown convention row {row!r}; expected one of {sorted(CONVENTION_ROWS)}"
         )
     evaluate, uses_fd = CONVENTION_ROWS[row]
-    return fuzz_report(f"bridge/rule/{row}", seed, trials, fd_tol if uses_fd else tol,
-                       lambda rng: evaluate(rng, fd_cfg))
+    return fuzz_report(f"bridge/rule/{row}", seed, trials,
+                       max(tol, FD_TOL) if uses_fd else tol, evaluate)

@@ -10,7 +10,9 @@ of the outer derivative with the inner one, ``ddot_cross(dphi_da, da_ds)``.
 
 The finite-difference functions are deliberately independent of the analytic
 rules: they probe the evaluator componentwise with central differences and
-serve as the oracle the analytic catalog is checked against.
+serve as the oracle the analytic catalog is checked against.  The step for
+component (k, p) is h = FD_STEP * max(1, |A[k,p]|); the directional
+derivative steps by FD_STEP along its direction.
 """
 
 from dataclasses import dataclass, field
@@ -36,22 +38,12 @@ from .algebra import (
 from .isotropic import iso_tensor
 
 
+# Base step of every central difference in this module.
+FD_STEP = 1e-5
+
+
 class DomainError(ValueError):
     """Function (or one of its finite-difference probes) left its domain."""
-
-
-@dataclass(frozen=True)
-class FDConfig:
-    """Central-difference step policy: h = h_base * max(1, |A[k,p]|)."""
-
-    h_base: float = 1e-5
-
-    def __post_init__(self):
-        if self.h_base <= 0.0:
-            raise ValueError("h_base must be positive")
-
-    def step(self, component_value):
-        return self.h_base * max(1.0, abs(float(component_value)))
 
 
 @dataclass(frozen=True)
@@ -79,14 +71,14 @@ def _require_domain(fn, a, what):
         raise DomainError(f"{fn.name}: domain guard fails at {what}")
 
 
-def _central_differences(fn, a, cfg, value_shape):
+def _central_differences(fn, a, value_shape):
     """Central difference over each argument component, written to out[..., k, p]."""
     a = np.asarray(a, dtype=float)
     _require_domain(fn, a, "the base point")
     out = np.zeros(value_shape + (DIM, DIM))
     for k in range(DIM):
         for p in range(DIM):
-            h = cfg.step(a[k, p])
+            h = FD_STEP * max(1.0, abs(float(a[k, p])))
             ap, am = a.copy(), a.copy()
             ap[k, p] += h
             am[k, p] -= h
@@ -96,21 +88,21 @@ def _central_differences(fn, a, cfg, value_shape):
     return out
 
 
-def fd_scalar_derivative(fn, a, cfg=FDConfig()):
+def fd_scalar_derivative(fn, a):
     """Central-difference derivative of a scalar-valued catalog entry."""
     if fn.kind != "scalar":
         raise ValueError(f"{fn.name} is not scalar-valued")
-    return _central_differences(fn, a, cfg, ())
+    return _central_differences(fn, a, ())
 
 
-def fd_tensor_derivative(fn, a, cfg=FDConfig()):
+def fd_tensor_derivative(fn, a):
     """Central-difference derivative of a tensor-valued catalog entry (trailing layout)."""
     if fn.kind != "tensor":
         raise ValueError(f"{fn.name} is not tensor-valued")
-    return _central_differences(fn, a, cfg, (DIM, DIM))
+    return _central_differences(fn, a, (DIM, DIM))
 
 
-def gato_derivative(fn, a, direction, cfg=FDConfig()):
+def gato_derivative(fn, a, direction):
     """Directional derivative d/ds fn(a + s * direction) at s = 0.
 
     For a scalar entry this equals ddot_cross(deriv(a), direction); for a
@@ -118,7 +110,7 @@ def gato_derivative(fn, a, direction, cfg=FDConfig()):
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(direction, dtype=float)
-    h = cfg.h_base
+    h = FD_STEP
     ap, am = a + h * d, a - h * d
     _require_domain(fn, a, "the base point")
     _require_domain(fn, ap, "probe (+h) along the direction")
@@ -130,22 +122,6 @@ def gato_derivative(fn, a, direction, cfg=FDConfig()):
 # Analytic rules
 # ---------------------------------------------------------------------------
 
-def d_invariant_1(a):
-    """d(tr A)/dA = I."""
-    return ident2()
-
-
-def d_invariant_2(a):
-    """d(i2)/dA = tr(A) I - A^T."""
-    return trace(a) * ident2() - transpose2(a)
-
-
-def d_invariant_3_expanded(a):
-    """d(det A)/dA as (A^2)^T - tr(A) A^T + i2 I; defined for every A."""
-    i1, i2, _ = invariants(a)
-    return transpose2(matpow(a, 2)) - i1 * transpose2(a) + i2 * ident2()
-
-
 def d_invariant_3_compact(a):
     """d(det A)/dA as det(A) A^-T; requires an invertible argument."""
     _, _, i3 = invariants(a)
@@ -155,15 +131,17 @@ def d_invariant_3_compact(a):
 def d_invariant(k, a):
     """Derivative of the k-th principal invariant, k in {1, 2, 3}.
 
-    k = 3 uses the expanded form: it is total, and near a singular argument
-    it keeps full precision where the compact form loses digits with det(A).
+    k = 1: I.  k = 2: tr(A) I - A^T.  k = 3: the expanded form
+    (A^2)^T - tr(A) A^T + i2 I; it is total, and near a singular argument it
+    keeps full precision where the compact form loses digits with det(A).
     """
     if k == 1:
-        return d_invariant_1(a)
+        return ident2()
     if k == 2:
-        return d_invariant_2(a)
+        return trace(a) * ident2() - transpose2(a)
     if k == 3:
-        return d_invariant_3_expanded(a)
+        i1, i2, _ = invariants(a)
+        return transpose2(matpow(a, 2)) - i1 * transpose2(a) + i2 * ident2()
     raise ValueError(f"d_invariant: k must be 1, 2 or 3, got {k}")
 
 
@@ -174,24 +152,17 @@ def d_trace_power(n, a):
     return float(n) * transpose2(matpow(a, int(n) - 1))
 
 
-def d_identity(a):
-    """d(A)/dA: the constant C_II."""
-    return iso_tensor("II")
-
-
 def d_transpose(a):
     """d(A^T)/dA: the constant C_III."""
     return iso_tensor("III")
 
 
-def d_square(a):
-    """d(A^2)/dA = C_II *2 A + A . C_II; entries d_ik A[p,j] + A[i,k] d_jp."""
-    c2 = iso_tensor("II")
-    return pos_dot(c2, a, 2) + dot(a, c2)
-
-
 def d_power(n, a):
-    """d(A^n)/dA for positive integer n, by the product rule on A . A^(n-1)."""
+    """d(A^n)/dA for positive integer n, by the product rule on A . A^(n-1).
+
+    n = 1 gives the constant C_II; n = 2 gives C_II *2 A + A . C_II, entries
+    d_ik A[p,j] + A[i,k] d_jp.
+    """
     if n < 1 or int(n) != n:
         raise ValueError(f"d_power: n must be a positive integer, got {n}")
     n = int(n)
@@ -242,14 +213,16 @@ def _invertible(a):
 def catalog():
     """All named functions with analytic derivatives, keyed by CLI name."""
     entries = [
-        TensorFunction("I1", "scalar", trace, d_invariant_1),
-        TensorFunction("I2", "scalar", lambda a: invariants(a).i2, d_invariant_2),
+        TensorFunction("I1", "scalar", trace, lambda a: d_invariant(1, a)),
+        TensorFunction("I2", "scalar", lambda a: invariants(a).i2,
+                       lambda a: d_invariant(2, a)),
         TensorFunction("I3", "scalar", lambda a: invariants(a).i3,
                        lambda a: d_invariant(3, a)),
         TensorFunction("id", "tensor", lambda a: np.asarray(a, dtype=float).copy(),
-                       d_identity),
+                       lambda a: d_power(1, a)),
         TensorFunction("transpose", "tensor", transpose2, d_transpose),
-        TensorFunction("square", "tensor", lambda a: matpow(a, 2), d_square),
+        TensorFunction("square", "tensor", lambda a: matpow(a, 2),
+                       lambda a: d_power(2, a)),
         TensorFunction("cube", "tensor", lambda a: matpow(a, 3),
                        lambda a: d_power(3, a)),
         TensorFunction("inverse", "tensor", inverse2, d_inverse, guard=_invertible),

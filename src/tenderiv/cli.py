@@ -6,6 +6,7 @@ byte-identical JSON output; the wall-time line goes to stderr only.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .algebra import SingularTensorError, maxabs
 from .bridge import to_nested_layout, to_trailing_layout
-from .calculus import DomainError, FDConfig, catalog, fd_scalar_derivative, fd_tensor_derivative
+from .calculus import DomainError, catalog, fd_scalar_derivative, fd_tensor_derivative
 from .serialize import SerializeError, dumps, load_json, matrix_obj, parse_matrix, parse_tensor4, tensor4_obj
 from .suites import full_identity_suite
 
@@ -31,11 +32,14 @@ def _default_seed():
 
 
 def _emit(text, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SerializeError(f"cannot write {out_path}: {exc}") from None
 
 
 def _usage_error(message):
@@ -46,8 +50,8 @@ def _usage_error(message):
 def cmd_identities(args):
     if args.trials < 1:
         return _usage_error("--trials must be at least 1")
-    if not (args.tol > 0.0):
-        return _usage_error("--tol must be positive")
+    if not 0.0 < args.tol < math.inf:
+        return _usage_error(f"--tol must be positive and finite, got {args.tol}")
     seed = _default_seed() if args.seed is None else args.seed
     if not 0 <= seed < 2**64:
         return _usage_error(f"seed must be in [0, 2**64), got {seed}")
@@ -91,7 +95,7 @@ def cmd_deriv(args):
             analytic = _finite("derivative", fn.deriv(at))
             payload["derivative"] = as_obj(analytic)
             if args.fd_check:
-                fd = _finite("finite-difference derivative", fd_derivative(fn, at, FDConfig()))
+                fd = _finite("finite-difference derivative", fd_derivative(fn, at))
                 payload["fd"] = as_obj(fd)
                 payload["fd_max_abs_err"] = _finite("fd_max_abs_err", maxabs(fd - analytic))
     except (DomainError, SingularTensorError) as exc:

@@ -29,7 +29,6 @@ from .algebra import (
     outer,
     trace,
 )
-from .reporting import CheckReport
 
 KINDS = ("I", "II", "III")
 SCHEMES = {"seq": ddot_seq, "cross": ddot_cross, "pos": ddot_pos}
@@ -98,10 +97,3 @@ def rotation_error(kind, q):
         raise ValueError(f"q is not orthogonal (defect {ortho_defect:.3e})")
     c = iso_tensor(kind)
     return max(maxabs(rotate4(c, q) - c), maxabs(q @ np.eye(3) @ q.T - np.eye(3)))
-
-
-def isotropy_check(kind, q, tol=1e-12):
-    """Verify that rotating every slot of an isotropic tensor leaves it unchanged."""
-    return CheckReport.from_measurement(
-        f"iso/rotation-invariance/{kind}", 1, rotation_error(kind, q), tol, seed=0
-    )

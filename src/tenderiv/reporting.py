@@ -50,7 +50,13 @@ class CheckReport:
 
 
 def fuzz_report(name, seed, trials, tol, trial_error):
-    """Run ``trial_error(rng)`` ``trials`` times on the report's own generator."""
+    """Run ``trial_error(rng)`` ``trials`` times on the report's own generator.
+
+    Raises ValueError when ``trials < 1``: a report that ran no trial has
+    checked nothing and must not pass.
+    """
+    if trials < 1:
+        raise ValueError(f"{name}: trials must be at least 1, got {trials}")
     rng = report_rng(seed, name)
     return CheckReport.from_measurement(
         name, trials, [trial_error(rng) for _ in range(trials)], tol, seed

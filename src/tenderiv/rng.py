@@ -31,27 +31,27 @@ def report_rng(seed, name):
     return trial_rng(seed, report_substream(name))
 
 
-def random_ten2(rng, scale=1.0):
-    """Second-rank tensor with entries uniform in [-scale, scale]."""
-    return rng.uniform(-scale, scale, size=(DIM, DIM))
+def random_ten2(rng):
+    """Second-rank tensor with entries uniform in [-1, 1]."""
+    return rng.uniform(-1.0, 1.0, size=(DIM, DIM))
 
 
-def random_ten4(rng, scale=1.0):
-    """Fourth-rank tensor with entries uniform in [-scale, scale]."""
-    return rng.uniform(-scale, scale, size=(DIM, DIM, DIM, DIM))
+def random_ten4(rng):
+    """Fourth-rank tensor with entries uniform in [-1, 1]."""
+    return rng.uniform(-1.0, 1.0, size=(DIM, DIM, DIM, DIM))
 
 
-def random_invertible(rng, det_floor=0.1, cond_max=50.0):
-    """Well-conditioned random tensor: |det| >= det_floor and cond <= cond_max."""
+def random_invertible(rng):
+    """Well-conditioned random tensor: |det| >= 0.1 and condition number <= 50."""
     while True:
         a = random_ten2(rng)
-        if abs(np.linalg.det(a)) >= det_floor and np.linalg.cond(a) <= cond_max:
+        if abs(np.linalg.det(a)) >= 0.1 and np.linalg.cond(a) <= 50.0:
             return a
 
 
-def random_near_identity(rng, spread=0.3):
-    """Unit tensor plus a uniform perturbation of the given spread."""
-    return np.eye(DIM) + spread * random_ten2(rng)
+def random_near_identity(rng):
+    """Unit tensor plus a perturbation with entries uniform in [-0.3, 0.3]."""
+    return np.eye(DIM) + 0.3 * random_ten2(rng)
 
 
 def random_orthogonal(rng):
@@ -65,9 +65,9 @@ def random_orthogonal(rng):
     return q * np.sign(np.diag(r))
 
 
-def random_frame(rng, min_triple=0.2):
-    """Rows of a mildly skewed frame: I + 0.5 U with |triple product| >= min_triple."""
+def random_frame(rng):
+    """Rows of a mildly skewed frame: I + 0.5 U with |triple product| >= 0.2."""
     while True:
         f = np.eye(DIM) + 0.5 * random_ten2(rng)
-        if abs(np.linalg.det(f)) >= min_triple:
+        if abs(np.linalg.det(f)) >= 0.2:
             return f

@@ -122,5 +122,6 @@ def load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise SerializeError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSON text is UTF-8, so undecodable bytes are invalid JSON as well
         raise SerializeError(f"{path}: invalid JSON ({exc})") from None

@@ -25,10 +25,10 @@ from tenderiv.bridge import (
     to_nested_layout,
     to_trailing_layout,
 )
-from tenderiv.calculus import d_inverse, d_square
+from tenderiv.calculus import d_inverse, d_power
 from tenderiv.isotropic import iso_tensor
 from tenderiv.rng import random_near_identity, random_ten2, random_ten4, trial_rng
-from tenderiv.suites import full_identity_suite
+from tenderiv.suites import bridge_reports, full_identity_suite
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])
@@ -110,13 +110,28 @@ def test_convention_rows_pass(row):
 
 
 def test_rule_rows_keep_algebraic_tolerance():
+    # the FD rows get max(tol, 1e-9), the algebraic rows tol, from every entry point
     fd_rows = {"bridge/rule/square", "bridge/rule/inverse"}
-    for tol, want_algebraic in ((1e-14, 1e-14), (1e-12, 1e-12)):
-        rows = [r for r in full_identity_suite(1, 2, tol=tol).reports
-                if r.name.startswith("bridge/rule/")]
-        assert len(rows) == 7
-        for r in rows:
-            assert r.tol == (1e-9 if r.name in fd_rows else want_algebraic), r.name
+    for tol in (1e-14, 1e-12, 1e-6):
+        entry_points = {
+            "full_identity_suite": full_identity_suite(1, 2, tol=tol).reports,
+            "bridge_reports": bridge_reports(1, 2, tol),
+            "convention_row_check": [convention_row_check(row, 1, 2, tol)
+                                     for row in CONVENTION_ROWS],
+        }
+        for entry, reports in entry_points.items():
+            rows = [r for r in reports if r.name.startswith("bridge/rule/")]
+            assert len(rows) == 7, entry
+            for r in rows:
+                want = max(tol, 1e-9) if r.name in fd_rows else tol
+                assert r.tol == want, (entry, tol, r.name)
+
+
+def test_reports_without_trials_are_rejected():
+    with pytest.raises(ValueError):
+        full_identity_suite(0, 0)
+    with pytest.raises(ValueError):
+        convention_row_check("square", trials=-3)
 
 
 def test_convention_row_unknown():
@@ -126,7 +141,7 @@ def test_convention_row_unknown():
 
 def test_square_row_symmetric_spot_value():
     # for a symmetric argument the interleaved form loses its transpose
-    assert np.array_equal(d_square(D), box(D, I) + box(I, D))
+    assert np.array_equal(d_power(2, D), box(D, I) + box(I, D))
 
 
 def test_inverse_row_scaled_identity_spot_value():
@@ -142,7 +157,7 @@ def test_nested_forms_of_catalog_derivatives():
         rng = trial_rng(504, t)
         a = random_ten2(rng)
         tol = 1e-12 * (1.0 + maxabs(a) ** 2)
-        assert maxabs(to_nested_layout(d_square(a)) - (outer(I, a) + outer(a, I))) <= tol
+        assert maxabs(to_nested_layout(d_power(2, a)) - (outer(I, a) + outer(a, I))) <= tol
         ai = random_near_identity(rng)
         b = inverse2(ai)
         tol_inv = 1e-12 * (1.0 + maxabs(b) ** 2)

@@ -19,16 +19,12 @@ from tenderiv.algebra import (
 )
 from tenderiv.calculus import (
     DomainError,
-    FDConfig,
     TensorFunction,
     catalog,
-    d_identity,
     d_invariant,
     d_invariant_3_compact,
-    d_invariant_3_expanded,
     d_inverse,
     d_power,
-    d_square,
     d_trace_power,
     d_transpose,
     fd_scalar_derivative,
@@ -52,7 +48,6 @@ D = np.diag([1.0, 2.0, 3.0])
 E12 = one_hot2(0, 1)
 C2, C3 = iso_tensor("II"), iso_tensor("III")
 CAT = catalog()
-CFG = FDConfig()
 
 
 def maxabs(x):
@@ -69,23 +64,23 @@ def relerr(got, want):
 
 def test_fd_scalar_spot_values():
     a = random_ten2(trial_rng(400, 0))
-    assert maxabs(fd_scalar_derivative(CAT["I1"], a, CFG) - I) <= 1e-9
-    assert maxabs(fd_scalar_derivative(CAT["I3"], D, CFG) - np.diag([6.0, 3.0, 2.0])) <= 1e-9
-    assert maxabs(fd_scalar_derivative(CAT["I2"], I, CFG) - 2.0 * I) <= 1e-9
+    assert maxabs(fd_scalar_derivative(CAT["I1"], a) - I) <= 1e-9
+    assert maxabs(fd_scalar_derivative(CAT["I3"], D) - np.diag([6.0, 3.0, 2.0])) <= 1e-9
+    assert maxabs(fd_scalar_derivative(CAT["I2"], I) - 2.0 * I) <= 1e-9
 
 
 def test_fd_tensor_spot_values():
     a = random_ten2(trial_rng(401, 0))
-    assert maxabs(fd_tensor_derivative(CAT["id"], a, CFG) - C2) <= 1e-9
-    assert maxabs(fd_tensor_derivative(CAT["transpose"], a, CFG) - C3) <= 1e-9
-    assert maxabs(fd_tensor_derivative(CAT["square"], I, CFG) - 2.0 * C2) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CAT["id"], a) - C2) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CAT["transpose"], a) - C3) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CAT["square"], I) - 2.0 * C2) <= 1e-9
 
 
 def test_fd_kind_mismatch_rejected():
     with pytest.raises(ValueError):
-        fd_scalar_derivative(CAT["square"], I, CFG)
+        fd_scalar_derivative(CAT["square"], I)
     with pytest.raises(ValueError):
-        fd_tensor_derivative(CAT["I1"], I, CFG)
+        fd_tensor_derivative(CAT["I1"], I)
 
 
 def test_fd_guards_probe_points():
@@ -93,16 +88,30 @@ def test_fd_guards_probe_points():
     a = np.diag([1.0, 1.0, 1e-5])
     assert CAT["inverse"].in_domain(a)
     with pytest.raises(DomainError):
-        fd_tensor_derivative(CAT["inverse"], a, CFG)
+        fd_tensor_derivative(CAT["inverse"], a)
     with pytest.raises(DomainError):
-        fd_tensor_derivative(CAT["inverse"], np.zeros((3, 3)), CFG)
+        fd_tensor_derivative(CAT["inverse"], np.zeros((3, 3)))
 
 
-def test_fd_config_validation():
-    with pytest.raises(ValueError):
-        FDConfig(h_base=0.0)
-    assert FDConfig(h_base=1e-6).step(-4.0) == pytest.approx(4e-6)
-    assert FDConfig().step(0.1) == pytest.approx(1e-5)
+def test_fd_probe_points_follow_the_step_rule():
+    # each component alone is probed at a[k,p] +/- 1e-5 * max(1, |a[k,p]|)
+    a = np.diag([0.1, -4.0, 1.0])
+    probes = []
+
+    def record(x):
+        probes.append(x.copy())
+        return 0.0
+
+    fd_scalar_derivative(TensorFunction("probe", "scalar", record, None), a)
+    steps = {}
+    for probe in probes:
+        moved = probe - a
+        (k,), (p,) = np.nonzero(moved)
+        steps.setdefault((k, p), []).append(moved[k, p])
+    assert sorted(steps) == list(itertools.product(range(3), repeat=2))
+    for (k, p), got in steps.items():
+        h = 1e-5 * max(1.0, abs(a[k, p]))
+        assert sorted(got) == pytest.approx([-h, h], rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +120,9 @@ def test_fd_config_validation():
 
 def test_gato_spot_values():
     a = random_ten2(trial_rng(402, 0))
-    assert abs(gato_derivative(CAT["I1"], a, E12, CFG)) <= 1e-10
-    assert gato_derivative(CAT["I1"], a, I, CFG) == pytest.approx(3.0, abs=1e-9)
-    got = gato_derivative(CAT["square"], D, E12, CFG)
+    assert abs(gato_derivative(CAT["I1"], a, E12)) <= 1e-10
+    assert gato_derivative(CAT["I1"], a, I) == pytest.approx(3.0, abs=1e-9)
+    got = gato_derivative(CAT["square"], D, E12)
     want = E12 @ D + D @ E12  # entry (0,1) carries d1 + d2 = 3
     assert want[0, 1] == 3.0
     assert maxabs(got - want) <= 1e-9
@@ -125,7 +134,7 @@ def test_gato_matches_derivative_contraction():
         a = random_near_identity(rng)
         direction = random_ten2(rng)
         for fn in CAT.values():
-            got = gato_derivative(fn, a, direction, CFG)
+            got = gato_derivative(fn, a, direction)
             if fn.kind == "scalar":
                 want = ddot_cross(fn.deriv(a), direction)
             else:
@@ -135,7 +144,7 @@ def test_gato_matches_derivative_contraction():
 
 def test_gato_guard():
     with pytest.raises(DomainError):
-        gato_derivative(CAT["inverse"], np.zeros((3, 3)), I, CFG)
+        gato_derivative(CAT["inverse"], np.zeros((3, 3)), I)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +164,7 @@ def test_d_invariant_3_forms_agree():
     for t in range(100):
         a = random_invertible(trial_rng(405, t))
         compact = d_invariant_3_compact(a)
-        expanded = d_invariant_3_expanded(a)
+        expanded = d_invariant(3, a)
         assert relerr(compact, expanded) <= 1e-12
 
 
@@ -177,7 +186,9 @@ def test_d_invariant_3_keeps_digits_near_singularity():
 def test_d_invariant_3_total_on_singular_input():
     singular = np.diag([1.0, 1.0, 0.0])
     got = d_invariant(3, singular)
-    assert np.array_equal(got, d_invariant_3_expanded(singular))
+    i1, i2, _ = invariants(singular)
+    expanded = transpose2(matpow(singular, 2)) - i1 * transpose2(singular) + i2 * I
+    assert np.array_equal(got, expanded)
     assert np.allclose(got, np.diag([0.0, 0.0, 1.0]))
 
 
@@ -191,19 +202,19 @@ def test_d_trace_power():
 
 def test_constant_derivatives():
     a = random_ten2(trial_rng(407, 0))
-    assert np.array_equal(d_identity(a), C2)
+    assert np.array_equal(d_power(1, a), C2)
     assert np.array_equal(d_transpose(a), C3)
-    assert maxabs(fd_tensor_derivative(CAT["id"], a, CFG) - C2) <= 1e-9
-    assert maxabs(fd_tensor_derivative(CAT["transpose"], a, CFG) - C3) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CAT["id"], a) - C2) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CAT["transpose"], a) - C3) <= 1e-9
 
 
 def test_d_square_entries():
-    assert np.array_equal(d_square(I), 2.0 * C2)
-    got = d_square(D)
+    assert np.array_equal(d_power(2, I), 2.0 * C2)
+    got = d_power(2, D)
     for i, j, k, p in itertools.product(range(3), repeat=4):
         want = (i == k) * D[p, j] + D[i, k] * (j == p)
         assert got[i, j, k, p] == want
-    assert maxabs(fd_tensor_derivative(CAT["square"], D, CFG) - got) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CAT["square"], D) - got) <= 1e-9
 
 
 def test_d_inverse_entries():
@@ -213,13 +224,13 @@ def test_d_inverse_entries():
     for i, j, k, p in itertools.product(range(3), repeat=4):
         assert got[i, j, k, p] == pytest.approx(-b[i, k] * b[p, j], abs=1e-14)
     a = random_near_identity(trial_rng(408, 0))
-    assert maxabs(fd_tensor_derivative(CAT["inverse"], a, CFG) - d_inverse(a)) <= 1e-8
+    assert maxabs(fd_tensor_derivative(CAT["inverse"], a) - d_inverse(a)) <= 1e-8
 
 
 def test_d_power_matches_cube_fd():
     for t in range(10):
         a = random_ten2(trial_rng(409, t))
-        assert relerr(fd_tensor_derivative(CAT["cube"], a, CFG), d_power(3, a)) <= 1e-8
+        assert relerr(fd_tensor_derivative(CAT["cube"], a), d_power(3, a)) <= 1e-8
     with pytest.raises(ValueError):
         d_power(0, I)
 
@@ -234,7 +245,7 @@ def test_chain_scalar_identity_inner():
 
 
 def test_chain_scalar_trace_of_square():
-    got = ddot_cross(d_invariant(1, matpow(D, 2)), d_square(D))
+    got = ddot_cross(d_invariant(1, matpow(D, 2)), d_power(2, D))
     assert np.allclose(got, d_trace_power(2, D))
     assert np.allclose(got, 2.0 * D)
 
@@ -247,7 +258,7 @@ def test_chain_scalar_against_composite_fd():
     for t in range(20):
         s = random_ten2(trial_rng(411, t))
         analytic = ddot_cross(d_invariant(2, transpose2(s)), d_transpose(s))
-        fd = fd_scalar_derivative(composite, s, CFG)
+        fd = fd_scalar_derivative(composite, s)
         assert relerr(fd, analytic) <= 1e-9
 
 
@@ -263,8 +274,8 @@ def test_chain_tensor_square_of_transpose():
     )
     for t in range(20):
         s = random_ten2(trial_rng(413, t))
-        analytic = ddot_cross(d_square(transpose2(s)), d_transpose(s))
-        fd = fd_tensor_derivative(composite, s, CFG)
+        analytic = ddot_cross(d_power(2, transpose2(s)), d_transpose(s))
+        fd = fd_tensor_derivative(composite, s)
         assert relerr(fd, analytic) <= 1e-9
 
 
@@ -275,14 +286,14 @@ def test_chain_tensor_inverse_of_square():
     )
     for t in range(20):
         s = np.eye(3) + 0.2 * random_ten2(trial_rng(414, t))
-        analytic = ddot_cross(d_inverse(matpow(s, 2)), d_square(s))
-        fd = fd_tensor_derivative(composite, s, CFG)
+        analytic = ddot_cross(d_inverse(matpow(s, 2)), d_power(2, s))
+        fd = fd_tensor_derivative(composite, s)
         assert relerr(fd, analytic) <= 1e-7
 
 
 def test_product_rule_dot_special_cases():
     a = random_ten2(trial_rng(415, 0))
-    assert np.array_equal(product_rule_dot(a, C2, a, C2), d_square(a))
+    assert np.array_equal(product_rule_dot(a, C2, a, C2), d_power(2, a))
     la = random_ten4(trial_rng(415, 1))
     assert maxabs(product_rule_dot(a, la, I, np.zeros((3, 3, 3, 3))) - la) == 0.0
 
@@ -309,7 +320,7 @@ def test_product_rule_scalar_tensor():
         analytic = product_rule_scalar_tensor(lam, d_invariant(1, s), trace(s),
                                               np.zeros((3, 3, 3, 3)))
         assert np.array_equal(analytic, outer(lam, I))
-        fd = fd_tensor_derivative(composite, s, CFG)
+        fd = fd_tensor_derivative(composite, s)
         assert relerr(fd, analytic) <= 1e-9
 
 
@@ -323,11 +334,11 @@ def test_product_rule_scalar_tensor_with_chain_expansion():
         psi = invariants(s).i2
         analytic = product_rule_scalar_tensor(
             matpow(s, 2),
-            ddot_cross(d_invariant(2, s), d_identity(s)),
+            ddot_cross(d_invariant(2, s), d_power(1, s)),
             psi,
-            ddot_cross(d_square(s), d_identity(s)),
+            ddot_cross(d_power(2, s), d_power(1, s)),
         )
-        fd = fd_tensor_derivative(composite, s, CFG)
+        fd = fd_tensor_derivative(composite, s)
         assert relerr(fd, analytic) <= 1e-8
 
 

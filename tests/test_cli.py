@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import tenderiv.cli
 from tenderiv.cli import main
 from tenderiv.isotropic import iso_tensor
 from tenderiv.serialize import dumps, matrix_obj, parse_tensor4, tensor4_obj
@@ -52,12 +53,36 @@ def test_identities_env_seed(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["reports"][0]["seed"] == 2**64 - 1
 
 
-def test_identities_usage_errors():
+def test_identities_usage_errors(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the suite ran despite a usage error")
+
+    monkeypatch.setattr(tenderiv.cli, "full_identity_suite", must_not_run)
     assert main(["identities", "--trials", "0"]) == 2
-    assert main(["identities", "--tol", "0"]) == 2
+    for tol in ("0", "inf", "nan", "-1e-12"):
+        assert main(["identities", "--tol", tol]) == 2
+        assert "--tol" in capsys.readouterr().err
     assert main(["identities", "--trials", "x"]) == 2
     assert main(["identities", "--seed", "-1"]) == 2
     assert main(["identities", "--seed", "18446744073709551616"]) == 2
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, diag_path):
+    out = str(tmp_path / "missing-dir" / "out.json")
+    assert main(["deriv", "--fn", "I1", "--at", diag_path, "--out", out]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    c2 = write(tmp_path / "c2.json", tensor4_obj(iso_tensor("II")))
+    assert main(["convert", "--direction", "to-group2", "--tensor", c2, "--out", out]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe")
+    assert main(["deriv", "--fn", "I1", "--at", str(raw)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+    assert main(["convert", "--direction", "to-group2", "--tensor", str(raw)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_deriv_scalar(tmp_path, capsys, diag_path):

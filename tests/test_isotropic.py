@@ -10,8 +10,8 @@ from tenderiv.isotropic import (
     contraction_role,
     expected_role,
     iso_tensor,
-    isotropy_check,
     rotate4,
+    rotation_error,
 )
 from tenderiv.rng import random_orthogonal, random_ten2, trial_rng
 
@@ -76,15 +76,15 @@ def test_rotation_invariance_quarter_turn():
     for kind in KINDS:
         c = iso_tensor(kind)
         assert maxabs(oracles.rotate4_oracle(c, q) - c) == 0.0
-        assert isotropy_check(kind, q).passed
+        assert rotation_error(kind, q) <= 1e-12
 
 
 def test_rotation_invariance_random_orthogonal():
     for kind in KINDS:
         for t in range(25):
             q = random_orthogonal(trial_rng(302, t))
-            report = isotropy_check(kind, q)
-            assert report.passed, f"{kind}: err={report.max_abs_err:.3e}"
+            err = rotation_error(kind, q)
+            assert err <= 1e-12, f"{kind}: err={err:.3e}"
 
 
 def test_rotate4_matches_loop_oracle():
@@ -95,16 +95,16 @@ def test_rotate4_matches_loop_oracle():
 
 def test_identity_rotation_is_exact():
     for kind in KINDS:
-        assert isotropy_check(kind, np.eye(3)).max_abs_err == 0.0
+        assert rotation_error(kind, np.eye(3)) == 0.0
 
 
 def test_non_orthogonal_rotation_rejected():
     with pytest.raises(ValueError):
-        isotropy_check("I", np.diag([1.0, 2.0, 1.0]))
+        rotation_error("I", np.diag([1.0, 2.0, 1.0]))
 
 
 def test_improper_orthogonal_also_preserved():
     # reflections belong to the invariance group as well
     q = np.diag([1.0, 1.0, -1.0])
     for kind in KINDS:
-        assert isotropy_check(kind, q).passed
+        assert rotation_error(kind, q) <= 1e-12
