@@ -6,9 +6,10 @@ the basis vectors in dyadic notation.  Storage is zero-based (entry "11" of a
 worked example lives at ``[0, 0]``).
 
 The products ``dot``, ``ddot_seq``, ``ddot_cross``, ``ddot_pos``, ``outer``,
-``box`` and ``boxhat`` are each one row of ``SUBSCRIPTS`` per rank pair.  The
-three double contractions differ only in how they pair the inner basis
-vectors of their operands:
+``box`` and ``boxhat`` are each one row of ``SUBSCRIPTS`` per rank pair;
+``product`` also evaluates every row over stacks of operands (leading batch
+axes, one trial per item).  The three double contractions differ only in how
+they pair the inner basis vectors of their operands:
 
 * ``ddot_seq``: nested pairing, nearest basis vectors first;
 * ``ddot_cross``: parallel pairing of the basis vectors;
@@ -91,18 +92,62 @@ SUBSCRIPTS = {
 _BY_SHAPE = {(op, (DIM,) * rx, (DIM,) * ry): s for (op, (rx, ry)), s in SUBSCRIPTS.items()}
 
 
-def product(op, x, y):
-    """Evaluate the product ``op`` by its SUBSCRIPTS row; scalar results are floats.
+def _batched(op, subscripts):
+    """A SUBSCRIPTS row for stacks: leading batch axes on the operands and the result.
+
+    Returns the subscripts and the number of free labels of x spread over y.
+    A double contraction of a fourth-rank by a second-rank stack would
+    otherwise run with the batch axis as a loop of its own, and einsum then
+    regroups the nine-term sums: the rounding no longer matches the same
+    product on one trial.  Broadcasting y over the free labels of x restores
+    the single-trial loop nest, with the batch merged into the outer loop.
+    """
+    operands, result = subscripts.split("->")
+    x, y = operands.split(",")
+    spread = ""
+    if op.startswith("ddot") and (len(x), len(y)) == (4, 2):
+        spread = "".join(label for label in result if label not in y)
+    return f"...{x},...{spread}{y}->...{result}", len(spread)
+
+
+_BY_RANKS = {key: _batched(key[0], s) for key, s in SUBSCRIPTS.items()}
+
+
+def product(op, x, y, ranks=None):
+    """Evaluate the product ``op`` by its SUBSCRIPTS row.
+
+    Without ``ranks`` the operands are single tensors and a scalar result is a
+    float.  With ``ranks = (rank_x, rank_y)`` the trailing rank_x (rank_y)
+    axes of x (y) hold one tensor and any leading axes are batch axes, which
+    broadcast and are kept in the result.  Ranks are passed, never inferred:
+    a (3, 3, 3, 3) array is a fourth-rank tensor and a 3x3 stack of
+    second-rank ones alike.
 
     Raises RankError when the table has no row for the operand ranks or when
     an operand axis does not have length 3.
     """
     x, y = np.asarray(x), np.asarray(y)
-    subscripts = _BY_SHAPE.get((op, x.shape, y.shape))
-    if subscripts is None:
-        raise RankError(f"{op}: unsupported operand shapes {x.shape} and {y.shape}")
-    out = np.einsum(subscripts, x, y)
-    return float(out) if out.ndim == 0 else out
+    if ranks is None:
+        subscripts = _BY_SHAPE.get((op, x.shape, y.shape))
+        if subscripts is None:
+            raise RankError(f"{op}: unsupported operand shapes {x.shape} and {y.shape}")
+        out = np.einsum(subscripts, x, y)
+        return float(out) if out.ndim == 0 else out
+    rx, ry = ranks
+    row = _BY_RANKS.get((op, (rx, ry)))
+    if row is None or not (_has_items(x, rx) and _has_items(y, ry)):
+        raise RankError(f"{op}: unsupported operand shapes {x.shape} and {y.shape} "
+                        f"for ranks {tuple(ranks)}")
+    subscripts, spread = row
+    if spread:
+        batch, item = y.shape[:-ry], y.shape[-ry:]
+        y = y.reshape(batch + (1,) * spread + item)
+        y = np.ascontiguousarray(np.broadcast_to(y, batch + (DIM,) * spread + item))
+    return np.einsum(subscripts, x, y)
+
+
+def _has_items(a, rank):
+    return a.ndim >= rank and a.shape[a.ndim - rank:] == (DIM,) * rank
 
 
 def dot(x, y):
@@ -141,30 +186,32 @@ def boxhat(a, b):
 
 
 def transpose2(a):
-    """Transpose of a second-rank tensor."""
-    return np.asarray(a).T
+    """Transpose of a second-rank tensor, or of each one in a stack."""
+    return np.asarray(a).swapaxes(-1, -2)
 
 
-_T4_AXES = {"ti": (0, 2, 1, 3), "dr": (0, 1, 3, 2), "dl": (1, 0, 2, 3)}
+# the pair of slots each fourth-rank transpose swaps, counted from the end
+_T4_SLOTS = {"ti": (-3, -2), "dr": (-2, -1), "dl": (-4, -3)}
 
 
 def transpose4(m, kind):
     """Fourth-rank transpose: 'ti' swaps slots 2,3; 'dr' swaps 3,4; 'dl' swaps 1,2.
 
-    Each variant is an involution.
+    Each variant is an involution.  The slots are the last four axes, so a
+    stack of fourth-rank tensors is transposed item by item.
     """
     try:
-        axes = _T4_AXES[kind]
+        slots = _T4_SLOTS[kind]
     except KeyError:
         raise ValueError(f"transpose4: unknown kind {kind!r}, expected ti/dr/dl") from None
-    return np.transpose(m, axes)
+    return np.asarray(m).swapaxes(*slots)
 
 
 _POS_DOT = {
-    1: "ijkl,im->mjkl",
-    2: "ijkl,jm->imkl",
-    3: "ijkl,km->ijml",
-    4: "ijkl,lm->ijkm",
+    1: "...ijkl,...im->...mjkl",
+    2: "...ijkl,...jm->...imkl",
+    3: "...ijkl,...km->...ijml",
+    4: "...ijkl,...lm->...ijkm",
 }
 
 
@@ -173,6 +220,7 @@ def pos_dot(h, d, n):
 
     Slot n of h pairs with the first index of d; d's second index takes
     slot n of the result.  For n = 2: out[i,m,k,l] = sum_j h[i,j,k,l] d[j,m].
+    Leading batch axes of h and d broadcast.
     """
     if n not in _POS_DOT:
         raise ValueError(f"pos_dot: slot must be 1..4, got {n}")
@@ -180,9 +228,9 @@ def pos_dot(h, d, n):
 
 
 _POS_DDOT_LEFT = {
-    1: "ijkl,abji->abkl",
-    2: "ijkl,abkj->iabl",
-    3: "ijkl,ablk->ijab",
+    1: "...ijkl,...abji->...abkl",
+    2: "...ijkl,...abkj->...iabl",
+    3: "...ijkl,...ablk->...ijab",
 }
 
 
@@ -199,9 +247,9 @@ def pos_ddot_left(c, m, n):
 
 
 _POS_DDOT_RIGHT = {
-    2: "ijkl,jiab->abkl",
-    3: "ijkl,kjab->iabl",
-    4: "ijkl,lkab->ijab",
+    2: "...ijkl,...jiab->...abkl",
+    3: "...ijkl,...kjab->...iabl",
+    4: "...ijkl,...lkab->...ijab",
 }
 
 
@@ -217,14 +265,22 @@ def pos_ddot_right(m, c, n):
     return np.einsum(_POS_DDOT_RIGHT[n], m, c)
 
 
-def maxabs(x):
-    """Largest absolute entry of a tensor."""
-    return float(np.max(np.abs(x)))
+def maxabs(x, rank=None):
+    """Largest absolute entry of a tensor.
+
+    With ``rank``, x is a stack whose trailing ``rank`` axes hold one tensor,
+    and the result is the largest absolute entry of each item (NaN when the
+    item holds a NaN).
+    """
+    if rank is None:
+        return float(np.max(np.abs(x)))
+    return np.max(np.abs(x), axis=tuple(range(-rank, 0))) if rank else np.abs(x)
 
 
 def trace(a):
-    """First principal invariant."""
-    return float(np.trace(a))
+    """First principal invariant, of one tensor (a float) or of each one in a stack."""
+    t = np.trace(a, axis1=-2, axis2=-1)
+    return float(t) if np.ndim(t) == 0 else t
 
 
 class Invariants(NamedTuple):
@@ -236,26 +292,31 @@ class Invariants(NamedTuple):
 
 
 def invariants(a):
-    """Principal invariants from traces of powers.
+    """Principal invariants from traces of powers; arrays of them for a stack.
 
     i1 = tr A, i2 = (i1^2 - tr A^2)/2, i3 = (tr A^3 - i1 tr A^2 + i2 i1)/3.
     """
     a = np.asarray(a, dtype=float)
     a2 = a @ a
-    t1 = float(np.trace(a))
-    t2 = float(np.trace(a2))
-    t3 = float(np.trace(a2 @ a))
+    t1 = trace(a)
+    t2 = trace(a2)
+    t3 = trace(a2 @ a)
     i2 = 0.5 * (t1 * t1 - t2)
     i3 = (t3 - t1 * t2 + i2 * t1) / 3.0
     return Invariants(t1, i2, i3)
 
 
 def inverse2(a):
-    """Inverse of a second-rank tensor; raises SingularTensorError when |det| < DET_FLOOR."""
+    """Inverse of a second-rank tensor, or of each one in a stack.
+
+    Raises SingularTensorError, carrying the first offending determinant, when
+    any |det| < DET_FLOOR.
+    """
     a = np.asarray(a, dtype=float)
-    det = float(np.linalg.det(a))
-    if abs(det) < DET_FLOOR:
-        raise SingularTensorError(det)
+    det = np.linalg.det(a)
+    singular = np.flatnonzero(np.abs(det) < DET_FLOOR)
+    if singular.size:
+        raise SingularTensorError(det.flat[singular[0]])
     return np.linalg.inv(a)
 
 

@@ -21,20 +21,9 @@ finite-difference oracle, whose truncation error sits far above rounding;
 ``convention_row_check`` is the one place that sets their tolerance.
 """
 
-from .algebra import (
-    box,
-    boxhat,
-    ddot_cross,
-    ddot_pos,
-    ddot_seq,
-    dot,
-    ident2,
-    inverse2,
-    maxabs,
-    outer,
-    transpose2,
-    transpose4,
-)
+import numpy as np
+
+from .algebra import ident2, inverse2, maxabs, product, transpose2, transpose4
 from .calculus import (
     d_inverse,
     d_power,
@@ -45,10 +34,13 @@ from .calculus import (
 from .calculus import catalog as _calculus_catalog
 from .isotropic import iso_tensor
 from .reporting import fuzz_report
-from .rng import random_near_identity, random_ten2, random_ten4
+from .rng import near_identity, uniform_tensors
 
 # Tolerance floor of the rows that compare against the finite-difference oracle.
 FD_TOL = 1e-9
+
+# operand ranks of the batched products below
+R22, R24, R42, R44 = (2, 2), (2, 4), (4, 2), (4, 4)
 
 
 def to_nested_layout(d4):
@@ -67,13 +59,14 @@ def rank2_bridge_error(a, l1):
     With the derivative l1 in trailing layout, the positional contraction of a
     with the nested form, the cross contraction with l1 and the sequential
     contraction routed through C_II all name the same second-rank tensor.
+    a and l1 may be stacks along matching leading axes; so is the result.
     """
     c2 = iso_tensor("II")
-    p_pos = ddot_pos(a, to_nested_layout(l1))
-    p_cross = ddot_cross(a, l1)
-    p_seq = ddot_seq(ddot_seq(a, c2), l1)
-    scale = 1.0 + maxabs(a) * maxabs(l1)
-    return max(maxabs(p_pos - p_cross), maxabs(p_seq - p_cross)) / scale
+    p_pos = product("ddot_pos", a, to_nested_layout(l1), R24)
+    p_cross = product("ddot_cross", a, l1, R24)
+    p_seq = product("ddot_seq", product("ddot_seq", a, c2, R24), l1, R24)
+    scale = 1.0 + maxabs(a, 2) * maxabs(l1, 4)
+    return np.maximum(maxabs(p_pos - p_cross, 2), maxabs(p_seq - p_cross, 2)) / scale
 
 
 def rank4_bridge_error(l1a, l1b):
@@ -81,14 +74,16 @@ def rank4_bridge_error(l1a, l1b):
 
     The positional contraction of the two nested forms equals the nested form
     of the cross contraction of the trailing forms, and the sequential
-    contraction routed through C_II equals the cross contraction.
+    contraction routed through C_II equals the cross contraction.  The
+    operands may be stacks along matching leading axes; so is the result.
     """
     c2 = iso_tensor("II")
-    p_cross = ddot_cross(l1a, l1b)
-    p_pos = ddot_pos(to_nested_layout(l1a), to_nested_layout(l1b))
-    p_seq = ddot_seq(ddot_seq(l1a, c2), l1b)
-    scale = 1.0 + maxabs(l1a) * maxabs(l1b)
-    return max(maxabs(p_pos - to_nested_layout(p_cross)), maxabs(p_seq - p_cross)) / scale
+    p_cross = product("ddot_cross", l1a, l1b, R44)
+    p_pos = product("ddot_pos", to_nested_layout(l1a), to_nested_layout(l1b), R44)
+    p_seq = product("ddot_seq", product("ddot_seq", l1a, c2, R44), l1b, R44)
+    scale = 1.0 + maxabs(l1a, 4) * maxabs(l1b, 4)
+    return np.maximum(maxabs(p_pos - to_nested_layout(p_cross), 4),
+                      maxabs(p_seq - p_cross, 4)) / scale
 
 
 def check_seq_transposers(seed=0, trials=100, tol=1e-12):
@@ -97,106 +92,109 @@ def check_seq_transposers(seed=0, trials=100, tol=1e-12):
     The second statement is fuzzed: D : C_III = D for random fourth-rank D.
     """
     c2, c3 = iso_tensor("II"), iso_tensor("III")
-    square_err = maxabs(ddot_seq(c2, c2) - c3)
+    square_err = maxabs(product("ddot_seq", c2, c2) - c3)
 
-    def trial_error(rng):
-        d = random_ten4(rng)
-        return max(square_err, maxabs(ddot_seq(d, c3) - d) / (1.0 + maxabs(d)))
+    def trial_errors(rng, n):
+        (d,) = uniform_tensors(rng, n, 4)
+        return np.maximum(square_err,
+                          maxabs(product("ddot_seq", d, c3, R44) - d, 4) / (1.0 + maxabs(d, 4)))
 
-    return fuzz_report("bridge/seq-transposer-identities", seed, trials, tol, trial_error)
+    return fuzz_report("bridge/seq-transposer-identities", seed, trials, tol, trial_errors)
 
 
 # ---------------------------------------------------------------------------
 # Cross-convention rows
 # ---------------------------------------------------------------------------
+# Each row evaluates a block of n trials: it draws the block's operands in
+# trial-major order and returns the n normalized errors.
 
-def _row_chain_scalar(rng):
-    return rank2_bridge_error(random_ten2(rng), random_ten4(rng))
-
-
-def _row_chain_tensor(rng):
-    return rank4_bridge_error(random_ten4(rng), random_ten4(rng))
+def _row_chain_scalar(rng, n):
+    return rank2_bridge_error(*uniform_tensors(rng, n, 2, 4))
 
 
-def _row_product_dot(rng):
-    a, b = random_ten2(rng), random_ten2(rng)
-    la, lb = random_ten4(rng), random_ten4(rng)
+def _row_chain_tensor(rng, n):
+    return rank4_bridge_error(*uniform_tensors(rng, n, 4, 4))
+
+
+def _row_product_dot(rng, n):
+    a, b, la, lb = uniform_tensors(rng, n, 2, 2, 4, 4)
     eye = ident2()
     r_pos_form = product_rule_dot(a, la, b, lb)
-    r_cross_form = ddot_cross(box(a, eye), lb) + ddot_cross(box(eye, transpose2(b)), la)
-    r_nested_form = dot(to_nested_layout(la), b) + dot(a, to_nested_layout(lb))
-    scale = 1.0 + max(maxabs(a), maxabs(b)) * max(maxabs(la), maxabs(lb))
-    return max(
-        maxabs(r_cross_form - r_pos_form),
-        maxabs(r_nested_form - to_nested_layout(r_pos_form)),
+    r_cross_form = (product("ddot_cross", product("box", a, eye, R22), lb, R44)
+                    + product("ddot_cross", product("box", eye, transpose2(b), R22), la, R44))
+    r_nested_form = (product("dot", to_nested_layout(la), b, R42)
+                     + product("dot", a, to_nested_layout(lb), R24))
+    scale = 1.0 + (np.maximum(maxabs(a, 2), maxabs(b, 2))
+                   * np.maximum(maxabs(la, 4), maxabs(lb, 4)))
+    return np.maximum(
+        maxabs(r_cross_form - r_pos_form, 4),
+        maxabs(r_nested_form - to_nested_layout(r_pos_form), 4),
     ) / scale
 
 
-def _row_unit_and_transposer(rng):
+def _row_unit_and_transposer(rng, n):
     # C_II is the cross unit and C_III the cross transposer; their nested
     # forms play the same roles under the positional contraction.
-    a = random_ten2(rng)
+    (a,) = uniform_tensors(rng, n, 2)
     at = transpose2(a)
     c2, c3 = iso_tensor("II"), iso_tensor("III")
-    return max(
-        maxabs(ddot_cross(a, c2) - a),
-        maxabs(ddot_pos(a, to_nested_layout(c2)) - a),
-        maxabs(ddot_cross(a, c3) - at),
-        maxabs(ddot_pos(a, to_nested_layout(c3)) - at),
-    ) / (1.0 + maxabs(a))
+    return np.maximum.reduce([
+        maxabs(product("ddot_cross", a, c2, R24) - a, 2),
+        maxabs(product("ddot_pos", a, to_nested_layout(c2), R24) - a, 2),
+        maxabs(product("ddot_cross", a, c3, R24) - at, 2),
+        maxabs(product("ddot_pos", a, to_nested_layout(c3), R24) - at, 2),
+    ]) / (1.0 + maxabs(a, 2))
 
 
-def _row_square(rng):
-    a = random_ten2(rng)
+def _row_square(rng, n):
+    (a,) = uniform_tensors(rng, n, 2)
     eye = ident2()
     c1 = iso_tensor("I")
     analytic = d_power(2, a)
-    interleaved = box(a, eye) + box(eye, transpose2(a))
-    nested = dot(c1, a) + dot(a, c1)
-    scale = 1.0 + maxabs(a)
-    err = max(
-        maxabs(interleaved - analytic),
-        maxabs(nested - to_nested_layout(analytic)),
+    interleaved = product("box", a, eye, R22) + product("box", eye, transpose2(a), R22)
+    nested = product("dot", c1, a, R42) + product("dot", a, c1, R24)
+    scale = 1.0 + maxabs(a, 2)
+    err = np.maximum(
+        maxabs(interleaved - analytic, 4),
+        maxabs(nested - to_nested_layout(analytic), 4),
     ) / scale
     fd = fd_tensor_derivative(_CATALOG["square"], a)
-    err = max(err, maxabs(fd - analytic) / (1.0 + maxabs(analytic)))
-    return err
+    return np.maximum(err, maxabs(fd - analytic, 4) / (1.0 + maxabs(analytic, 4)))
 
 
-def _row_inverse(rng):
-    a = random_near_identity(rng)
+def _row_inverse(rng, n):
+    a = near_identity(uniform_tensors(rng, n, 2)[0])
     b = inverse2(a)
     analytic = d_inverse(a)
-    interleaved = -box(b, transpose2(b))
-    nested = -outer(b, b)
-    scale = 1.0 + maxabs(b) ** 2
-    err = max(
-        maxabs(interleaved - analytic),
-        maxabs(nested - to_nested_layout(analytic)),
+    interleaved = -product("box", b, transpose2(b), R22)
+    nested = -product("outer", b, b, R22)
+    scale = 1.0 + maxabs(b, 2) ** 2
+    err = np.maximum(
+        maxabs(interleaved - analytic, 4),
+        maxabs(nested - to_nested_layout(analytic), 4),
     ) / scale
     fd = fd_tensor_derivative(_CATALOG["inverse"], a)
-    err = max(err, maxabs(fd - analytic) / (1.0 + maxabs(analytic)))
-    return err
+    return np.maximum(err, maxabs(fd - analytic, 4) / (1.0 + maxabs(analytic, 4)))
 
 
-def _row_scalar_times_tensor(rng):
-    lam = random_ten2(rng)
-    dpsi = random_ten2(rng)
-    psi = float(rng.uniform(-2.0, 2.0))
-    dlam = random_ten4(rng)
+def _row_scalar_times_tensor(rng, n):
+    # psi is uniform in [-2, 2]: twice a uniform [-1, 1] draw
+    lam, dpsi, u, dlam = uniform_tensors(rng, n, 2, 2, 0, 4)
+    psi = 2.0 * u
     analytic = product_rule_scalar_tensor(lam, dpsi, psi, dlam)
-    nested = boxhat(lam, dpsi) + psi * to_nested_layout(dlam)
-    scale = 1.0 + max(maxabs(lam) * maxabs(dpsi), abs(psi) * maxabs(dlam))
-    return max(
-        maxabs(to_nested_layout(outer(lam, dpsi)) - boxhat(lam, dpsi)),
-        maxabs(transpose4(box(lam, dpsi), "dr") - boxhat(lam, dpsi)),
-        maxabs(nested - to_nested_layout(analytic)),
-    ) / scale
+    hat = product("boxhat", lam, dpsi, R22)
+    nested = hat + psi[:, None, None, None, None] * to_nested_layout(dlam)
+    scale = 1.0 + np.maximum(maxabs(lam, 2) * maxabs(dpsi, 2), np.abs(psi) * maxabs(dlam, 4))
+    return np.maximum.reduce([
+        maxabs(to_nested_layout(product("outer", lam, dpsi, R22)) - hat, 4),
+        maxabs(transpose4(product("box", lam, dpsi, R22), "dr") - hat, 4),
+        maxabs(nested - to_nested_layout(analytic), 4),
+    ]) / scale
 
 
 _CATALOG = _calculus_catalog()
 
-# name -> (trial evaluator, compares against the finite-difference oracle).
+# name -> (block evaluator, compares against the finite-difference oracle).
 # The evaluator stays first: perfbench/tracer.py reads entry[0].
 CONVENTION_ROWS = {
     "chain_scalar": (_row_chain_scalar, False),

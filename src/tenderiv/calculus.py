@@ -12,7 +12,10 @@ The finite-difference functions are deliberately independent of the analytic
 rules: they probe the evaluator componentwise with central differences and
 serve as the oracle the analytic catalog is checked against.  The step for
 component (k, p) is h = FD_STEP * max(1, |A[k,p]|); the directional
-derivative steps by FD_STEP along its direction.
+derivative steps by FD_STEP along its direction.  The componentwise
+derivatives, the catalog evaluators and the analytic rules d_power,
+d_inverse, product_rule_dot and product_rule_scalar_tensor also take a stack
+of arguments along leading axes, one trial per item.
 """
 
 from dataclasses import dataclass, field
@@ -24,14 +27,13 @@ from .algebra import (
     DET_FLOOR,
     DIM,
     ddot_seq,
-    dot,
     ident2,
     inverse2,
     invariants,
     matpow,
     maxabs,
-    outer,
     pos_dot,
+    product,
     trace,
     transpose2,
 )
@@ -53,7 +55,9 @@ class TensorFunction:
     ``kind`` is 'scalar' or 'tensor'.  ``deriv`` returns the trailing-layout
     derivative (second rank for scalar functions, fourth rank for tensor
     functions).  ``guard`` restricts the domain; it must also hold at every
-    finite-difference probe point.
+    finite-difference probe point.  ``func`` and ``guard`` take one argument
+    or a stack of arguments along leading axes and answer item by item: the
+    finite differences hand them all of their probes as one stack.
     """
 
     name: str
@@ -71,21 +75,43 @@ def _require_domain(fn, a, what):
         raise DomainError(f"{fn.name}: domain guard fails at {what}")
 
 
+def _stencil_point(j):
+    """Point j of an argument's FD stencil: the base point, then (+h, -h) per component."""
+    if j == 0:
+        return "the base point"
+    k, p = divmod((j - 1) // 2, DIM)
+    return f"probe ({'+-'[(j - 1) % 2]}h) of component ({k},{p})"
+
+
 def _central_differences(fn, a, value_shape):
-    """Central difference over each argument component, written to out[..., k, p]."""
+    """Central difference over each argument component, written to out[..., k, p].
+
+    a is one argument or a stack of them.  The 18 probes of every argument go
+    through one call of fn.func.  The domain guard must hold at every base
+    point and probe; the first failure, in trial order and then stencil
+    order, is reported.
+    """
     a = np.asarray(a, dtype=float)
-    _require_domain(fn, a, "the base point")
-    out = np.zeros(value_shape + (DIM, DIM))
+    batch = a.shape[:-2]
+    h = FD_STEP * np.maximum(1.0, np.abs(a))
+    # probes[..., k, p, s] is a with component (k, p) moved by +h (s = 0) or -h (s = 1)
+    probes = np.broadcast_to(a[..., None, None, None, :, :], batch + (DIM, DIM, 2, DIM, DIM)).copy()
     for k in range(DIM):
         for p in range(DIM):
-            h = FD_STEP * max(1.0, abs(float(a[k, p])))
-            ap, am = a.copy(), a.copy()
-            ap[k, p] += h
-            am[k, p] -= h
-            _require_domain(fn, ap, f"probe (+h) of component ({k},{p})")
-            _require_domain(fn, am, f"probe (-h) of component ({k},{p})")
-            out[..., k, p] = (fn.func(ap) - fn.func(am)) / (2.0 * h)
-    return out
+            probes[..., k, p, 0, k, p] = a[..., k, p] + h[..., k, p]
+            probes[..., k, p, 1, k, p] = a[..., k, p] - h[..., k, p]
+    if fn.guard is not None:
+        stencil_ok = np.concatenate([np.reshape(fn.guard(a), batch + (1,)),
+                                     np.reshape(fn.guard(probes), batch + (2 * DIM * DIM,))],
+                                    axis=-1)
+        if not np.all(stencil_ok):
+            first = int(np.flatnonzero(~stencil_ok)[0]) % stencil_ok.shape[-1]
+            raise DomainError(f"{fn.name}: domain guard fails at {_stencil_point(first)}")
+    values = np.reshape(fn.func(probes.reshape((-1, DIM, DIM))),
+                        batch + (DIM, DIM, 2) + value_shape)
+    plus, minus = np.moveaxis(values, len(batch) + 2, 0)
+    out = (plus - minus) / (2.0 * h.reshape(h.shape + (1,) * len(value_shape)))
+    return np.ascontiguousarray(np.moveaxis(out, (len(batch), len(batch) + 1), (-2, -1)))
 
 
 def fd_scalar_derivative(fn, a):
@@ -174,17 +200,18 @@ def d_power(n, a):
 def d_inverse(a):
     """d(A^-1)/dA = -(A^-1 . C_II) *2 A^-1; entries -B[i,k] B[p,j] with B = A^-1."""
     b = inverse2(a)
-    return -pos_dot(dot(b, iso_tensor("II")), b, 2)
+    return -pos_dot(product("dot", b, iso_tensor("II"), (2, 4)), b, 2)
 
 
 def product_rule_dot(a, da_ds, b, db_ds):
     """Derivative of A(S) . B(S): da_ds *2 B + A . db_ds."""
-    return pos_dot(da_ds, b, 2) + dot(a, db_ds)
+    return pos_dot(da_ds, b, 2) + product("dot", a, db_ds, (2, 4))
 
 
 def product_rule_scalar_tensor(lam, dpsi_ds, psi, dlam_ds):
     """Derivative of psi(S) * Lambda(S): Lambda (x) dpsi_ds + psi dlam_ds."""
-    return outer(lam, dpsi_ds) + float(psi) * np.asarray(dlam_ds, dtype=float)
+    psi = np.asarray(psi, dtype=float)[..., None, None, None, None]
+    return product("outer", lam, dpsi_ds, (2, 2)) + psi * np.asarray(dlam_ds, dtype=float)
 
 
 def linearization_check(fn, a, delta):
@@ -207,7 +234,7 @@ def linearization_check(fn, a, delta):
 # ---------------------------------------------------------------------------
 
 def _invertible(a):
-    return abs(float(np.linalg.det(np.asarray(a, dtype=float)))) >= DET_FLOOR
+    return np.abs(np.linalg.det(np.asarray(a, dtype=float))) >= DET_FLOOR
 
 
 def catalog():

@@ -55,6 +55,8 @@ def cmd_identities(args):
     seed = _default_seed() if args.seed is None else args.seed
     if not 0 <= seed < 2**64:
         return _usage_error(f"seed must be in [0, 2**64), got {seed}")
+    if args.out:
+        _emit("", args.out)  # an unwritable --out fails now, before the suite runs
     summary = full_identity_suite(seed=seed, trials=args.trials, tol=args.tol)
     _emit(dumps(summary.to_obj()), args.out)
     failed = [r.name for r in summary.reports if not r.passed]

@@ -14,6 +14,10 @@ tensors, from the left as well as from the right:
     cross    tr(A) I    A          A^T
     seq      tr(A) I    A^T        A
     pos      A          A^T        tr(A) I
+
+The tensors are built once, as read-only constants.  Every function here
+also takes a stack of second-rank tensors (or orthogonal maps) along leading
+axes and answers item by item.
 """
 
 import numpy as np
@@ -27,7 +31,9 @@ from .algebra import (
     ident2,
     maxabs,
     outer,
+    product,
     trace,
+    transpose2,
 )
 
 KINDS = ("I", "II", "III")
@@ -41,16 +47,28 @@ ROLES = {
 }
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+_EYE = ident2()
+_ISO = {
+    "I": _read_only(outer(_EYE, _EYE)),
+    "II": _read_only(box(_EYE, _EYE)),
+    "III": _read_only(boxhat(_EYE, _EYE)),
+}
+
+
 def iso_tensor(kind):
-    """One of the three isotropic fourth-rank tensors, by kind 'I', 'II' or 'III'."""
-    eye = ident2()
-    if kind == "I":
-        return outer(eye, eye)
-    if kind == "II":
-        return box(eye, eye)
-    if kind == "III":
-        return boxhat(eye, eye)
-    raise ValueError(f"iso_tensor: unknown kind {kind!r}, expected I/II/III")
+    """One of the three isotropic fourth-rank tensors, by kind 'I', 'II' or 'III'.
+
+    The result is a shared read-only array.
+    """
+    try:
+        return _ISO[kind]
+    except KeyError:
+        raise ValueError(f"iso_tensor: unknown kind {kind!r}, expected I/II/III") from None
 
 
 def contraction_role(scheme, kind, a, side="left"):
@@ -59,15 +77,13 @@ def contraction_role(scheme, kind, a, side="left"):
     ``side='left'`` evaluates a * C, ``side='right'`` evaluates C * a, under
     the chosen contraction scheme.
     """
-    try:
-        op = SCHEMES[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}, expected seq/cross/pos") from None
-    c = iso_tensor(kind)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected seq/cross/pos")
+    op, c = f"ddot_{scheme}", iso_tensor(kind)
     if side == "left":
-        return op(a, c)
+        return product(op, a, c, (2, 4))
     if side == "right":
-        return op(c, a)
+        return product(op, c, a, (4, 2))
     raise ValueError(f"unknown side {side!r}, expected left/right")
 
 
@@ -75,25 +91,26 @@ def expected_role(scheme, kind, a):
     """Closed form of contraction_role: a, a^T or tr(a) I."""
     role = ROLES[scheme][kind]
     if role == "unit":
-        return np.asarray(a, dtype=float).copy()
+        return np.array(a, dtype=float)
     if role == "transpose":
-        return np.asarray(a, dtype=float).T.copy()
-    return trace(a) * ident2()
+        return transpose2(np.asarray(a, dtype=float)).copy()
+    return np.multiply.outer(trace(a), ident2())
 
 
 def rotate4(c, q):
     """Rotate every slot of a fourth-rank tensor by the second-rank tensor q."""
-    return np.einsum("ip,jq,kr,ls,pqrs->ijkl", q, q, q, q, c)
+    return np.einsum("...ip,...jq,...kr,...ls,...pqrs->...ijkl", q, q, q, q, c)
 
 
 def rotation_error(kind, q):
     """Worst change of an isotropic tensor, and of q I q^T against I, under q.
 
-    q must be orthogonal to 1e-10.
+    q must be orthogonal to 1e-10; for a stack, every item must be.
     """
     q = np.asarray(q, dtype=float)
-    ortho_defect = maxabs(q.T @ q - np.eye(3))
-    if not ortho_defect <= 1e-10:
-        raise ValueError(f"q is not orthogonal (defect {ortho_defect:.3e})")
+    ortho_defect = maxabs(transpose2(q) @ q - np.eye(3), 2)
+    if not np.all(ortho_defect <= 1e-10):
+        raise ValueError(f"q is not orthogonal (defect {np.max(ortho_defect):.3e})")
     c = iso_tensor(kind)
-    return max(maxabs(rotate4(c, q) - c), maxabs(q @ np.eye(3) @ q.T - np.eye(3)))
+    return np.maximum(maxabs(rotate4(c, q) - c, 4),
+                      maxabs(q @ np.eye(3) @ transpose2(q) - np.eye(3), 2))

@@ -1,11 +1,15 @@
 """Check reports produced by the verification suites, and the trial loop behind them."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .rng import report_rng
+
+# Trials evaluated together by fuzz_report: large enough that one einsum per
+# product per block outweighs the Python overhead, small enough to keep the
+# block's operands and temporaries within a few hundred kilobytes.
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -30,10 +34,10 @@ class CheckReport:
     @classmethod
     def from_measurement(cls, name, trials, errors, tol, seed):
         """Report from one error or a sequence of trial errors."""
-        errors = np.asarray(errors, dtype=float).ravel().tolist()
-        finite = [e for e in errors if math.isfinite(e)]
-        nonfinite = len(errors) - len(finite)
-        err, tol = max(finite, default=0.0), float(tol)
+        errors = np.asarray(errors, dtype=float).ravel()
+        finite = errors[np.isfinite(errors)]
+        nonfinite = errors.size - finite.size
+        err, tol = float(finite.max()) if finite.size else 0.0, float(tol)
         return cls(name, int(trials), err, tol, nonfinite == 0 and err <= tol, int(seed),
                    nonfinite)
 
@@ -49,8 +53,13 @@ class CheckReport:
         }
 
 
-def fuzz_report(name, seed, trials, tol, trial_error):
-    """Run ``trial_error(rng)`` ``trials`` times on the report's own generator.
+def fuzz_report(name, seed, trials, tol, trial_errors):
+    """Evaluate ``trials`` trials of a check in blocks on the report's own generator.
+
+    ``trial_errors(rng, n)`` draws the operands of the next n trials from rng,
+    in trial-major order, and returns their n errors.  Blocks hold BLOCK
+    trials, the last one the remainder, so a trial's operands and error do not
+    depend on where the block boundaries fall.
 
     Raises ValueError when ``trials < 1``: a report that ran no trial has
     checked nothing and must not pass.
@@ -58,9 +67,8 @@ def fuzz_report(name, seed, trials, tol, trial_error):
     if trials < 1:
         raise ValueError(f"{name}: trials must be at least 1, got {trials}")
     rng = report_rng(seed, name)
-    return CheckReport.from_measurement(
-        name, trials, [trial_error(rng) for _ in range(trials)], tol, seed
-    )
+    errors = [trial_errors(rng, min(BLOCK, trials - done)) for done in range(0, trials, BLOCK)]
+    return CheckReport.from_measurement(name, trials, np.concatenate(errors), tol, seed)
 
 
 @dataclass

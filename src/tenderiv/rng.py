@@ -6,6 +6,12 @@ Streams come from the Philox counter-based generator (Salmon et al.,
 from one generator whose substream is a stable 64-bit hash of the report's
 name (``report_rng``), so reports never share operands and results do not
 depend on execution order or parallel schedule.
+
+Reports draw a block of trials at a time (``uniform_tensors``,
+``orthogonal_tensors``) in trial-major order: trial t's operands follow
+trial t-1's in the stream, in argument order, exactly as if each trial had
+called the single-tensor samplers below one after another.  So the operands
+of a trial do not depend on the block size.
 """
 
 import hashlib
@@ -31,6 +37,38 @@ def report_rng(seed, name):
     return trial_rng(seed, report_substream(name))
 
 
+def uniform_tensors(rng, n, *ranks):
+    """Operands of n trials, entries uniform in [-1, 1]: one (n, 3, ..., 3) stack per rank.
+
+    One draw of shape (n, k), k the entries of one trial, is split by columns,
+    so row t holds trial t's operands in argument order.  Rank 0 gives an
+    (n,) array of scalars.
+    """
+    sizes = [DIM**r for r in ranks]
+    u = rng.uniform(-1.0, 1.0, size=(n, sum(sizes)))
+    stacks, start = [], 0
+    for rank, size in zip(ranks, sizes):
+        stacks.append(np.ascontiguousarray(u[:, start:start + size]).reshape((n,) + (DIM,) * rank))
+        start += size
+    return stacks
+
+
+def orthogonal_tensors(rng, n):
+    """n orthogonal tensors from the QR factorizations of random matrices.
+
+    The determinant sign is left as drawn, so both proper and improper
+    orthogonal tensors occur.
+    """
+    q, r = np.linalg.qr(rng.standard_normal((n, DIM, DIM)))
+    # Fix the factorization's sign ambiguity so the draw is unambiguous.
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+
+
+def near_identity(u):
+    """Unit tensor plus 0.3 u; u uniform in [-1, 1] perturbs by at most 0.3."""
+    return np.eye(DIM) + 0.3 * u
+
+
 def random_ten2(rng):
     """Second-rank tensor with entries uniform in [-1, 1]."""
     return rng.uniform(-1.0, 1.0, size=(DIM, DIM))
@@ -51,18 +89,12 @@ def random_invertible(rng):
 
 def random_near_identity(rng):
     """Unit tensor plus a perturbation with entries uniform in [-0.3, 0.3]."""
-    return np.eye(DIM) + 0.3 * random_ten2(rng)
+    return near_identity(random_ten2(rng))
 
 
 def random_orthogonal(rng):
-    """Orthogonal tensor from the QR factorization of a random matrix.
-
-    The determinant sign is left as drawn, so both proper and improper
-    orthogonal tensors occur.
-    """
-    q, r = np.linalg.qr(rng.standard_normal((DIM, DIM)))
-    # Fix the factorization's sign ambiguity so the draw is unambiguous.
-    return q * np.sign(np.diag(r))
+    """One orthogonal tensor; see orthogonal_tensors."""
+    return orthogonal_tensors(rng, 1)[0]
 
 
 def random_frame(rng):

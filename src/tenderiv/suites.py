@@ -5,6 +5,11 @@ max-norms), so the configured tolerance is a pure rounding allowance.  Each
 fuzzed report runs through ``reporting.fuzz_report``, which draws all of its
 trials from one Philox generator keyed by (seed, report name); results are
 independent of execution order.
+
+The trial functions here take ``(rng, n)`` and evaluate a block of n trials
+at once: they draw the block's operands in trial-major order
+(``rng.uniform_tensors``) and evaluate each product once over the block's
+leading trial axis, returning the n trial errors.
 """
 
 import time
@@ -12,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import ddot_cross, ddot_pos, ddot_seq, dot, maxabs, transpose2
+from .algebra import maxabs, product, transpose2
 from .bridge import (
     CONVENTION_ROWS,
     check_seq_transposers,
@@ -24,67 +29,67 @@ from .bridge import (
 )
 from .isotropic import KINDS, SCHEMES, contraction_role, expected_role, iso_tensor, rotation_error
 from .reporting import CheckReport, RunSummary, fuzz_report
-from .rng import random_orthogonal, random_ten2, random_ten4
+from .rng import orthogonal_tensors, uniform_tensors
 
 # Random orthogonal maps per rotation-invariance report, whatever the trial count.
 ROTATIONS = 50
+
+R22 = (2, 2)
 
 
 # ---------------------------------------------------------------------------
 # Double-contraction identities on second-rank operands
 # ---------------------------------------------------------------------------
 
-def _err_cross_as_seq_transpose(rng):
-    a, b = random_ten2(rng), random_ten2(rng)
-    scale = 1.0 + maxabs(a) * maxabs(b)
-    c = ddot_cross(a, b)
-    return max(
-        abs(c - ddot_seq(a, transpose2(b))),
-        abs(c - ddot_seq(transpose2(a), b)),
+def _err_cross_as_seq_transpose(rng, n):
+    a, b = uniform_tensors(rng, n, 2, 2)
+    scale = 1.0 + maxabs(a, 2) * maxabs(b, 2)
+    c = product("ddot_cross", a, b, R22)
+    return np.maximum(
+        np.abs(c - product("ddot_seq", a, transpose2(b), R22)),
+        np.abs(c - product("ddot_seq", transpose2(a), b, R22)),
     ) / scale
 
 
-def _err_ddot_symmetry(rng):
-    a, b = random_ten2(rng), random_ten2(rng)
-    scale = 1.0 + maxabs(a) * maxabs(b)
-    worst = 0.0
-    for op in (ddot_seq, ddot_cross):
-        v = op(a, b)
-        worst = max(
-            worst,
-            abs(v - op(b, a)),
-            abs(v - op(transpose2(a), transpose2(b))),
-        )
-    return worst / scale
+def _err_ddot_symmetry(rng, n):
+    a, b = uniform_tensors(rng, n, 2, 2)
+    scale = 1.0 + maxabs(a, 2) * maxabs(b, 2)
+    diffs = []
+    for op in ("ddot_seq", "ddot_cross"):
+        v = product(op, a, b, R22)
+        diffs.append(np.abs(v - product(op, b, a, R22)))
+        diffs.append(np.abs(v - product(op, transpose2(a), transpose2(b), R22)))
+    return np.maximum.reduce(diffs) / scale
 
 
-def _err_dot_ddot_associativity(rng):
-    a, b, c = random_ten2(rng), random_ten2(rng), random_ten2(rng)
-    scale = 1.0 + maxabs(a) * maxabs(b) * maxabs(c)
-    e1 = abs(ddot_seq(a, dot(b, c)) - ddot_seq(dot(a, b), c))
-    e2 = abs(
-        ddot_cross(a, dot(b, c))
-        - ddot_cross(dot(transpose2(a), b), transpose2(c))
+def _err_dot_ddot_associativity(rng, n):
+    a, b, c = uniform_tensors(rng, n, 2, 2, 2)
+    scale = 1.0 + maxabs(a, 2) * maxabs(b, 2) * maxabs(c, 2)
+    bc = product("dot", b, c, R22)
+    e1 = np.abs(product("ddot_seq", a, bc, R22)
+                - product("ddot_seq", product("dot", a, b, R22), c, R22))
+    e2 = np.abs(
+        product("ddot_cross", a, bc, R22)
+        - product("ddot_cross", product("dot", transpose2(a), b, R22), transpose2(c), R22)
     )
-    return max(e1, e2) / scale
+    return np.maximum(e1, e2) / scale
 
 
-def _err_pos_equals_cross_rank2(rng):
-    a, b = random_ten2(rng), random_ten2(rng)
-    scale = 1.0 + maxabs(a) * maxabs(b)
-    return abs(ddot_pos(a, b) - ddot_cross(a, b)) / scale
+def _err_pos_equals_cross_rank2(rng, n):
+    a, b = uniform_tensors(rng, n, 2, 2)
+    scale = 1.0 + maxabs(a, 2) * maxabs(b, 2)
+    return np.abs(product("ddot_pos", a, b, R22) - product("ddot_cross", a, b, R22)) / scale
 
 
-def _cross_via_seq_error(x, y):
+def _err_cross_via_seq(rx, ry, rng, n):
+    x, y = uniform_tensors(rng, n, rx, ry)
     c2 = iso_tensor("II")
-    ref = ddot_cross(x, y)
-    via_left = ddot_seq(ddot_seq(x, c2), y)
-    via_right = ddot_seq(x, ddot_seq(c2, y))
-    scale = 1.0 + maxabs(x) * maxabs(y)
-    return max(maxabs(np.asarray(via_left) - ref), maxabs(np.asarray(via_right) - ref)) / scale
-
-
-_RANK_SAMPLERS = {2: random_ten2, 4: random_ten4}
+    out_rank = rx + ry - 4
+    ref = product("ddot_cross", x, y, (rx, ry))
+    via_left = product("ddot_seq", product("ddot_seq", x, c2, (rx, 4)), y, (rx, ry))
+    via_right = product("ddot_seq", x, product("ddot_seq", c2, y, (4, ry)), (rx, ry))
+    scale = 1.0 + maxabs(x, rx) * maxabs(y, ry)
+    return np.maximum(maxabs(via_left - ref, out_rank), maxabs(via_right - ref, out_rank)) / scale
 
 
 def contraction_identity_reports(seed, trials, tol):
@@ -96,11 +101,7 @@ def contraction_identity_reports(seed, trials, tol):
         "algebra/pos-equals-cross-rank2": _err_pos_equals_cross_rank2,
     }
     for rx, ry in [(2, 2), (2, 4), (4, 2), (4, 4)]:
-        checks[f"algebra/cross-via-seq-{rx}x{ry}"] = (
-            lambda rng, rx=rx, ry=ry: _cross_via_seq_error(
-                _RANK_SAMPLERS[rx](rng), _RANK_SAMPLERS[ry](rng)
-            )
-        )
+        checks[f"algebra/cross-via-seq-{rx}x{ry}"] = partial(_err_cross_via_seq, rx, ry)
     return [fuzz_report(name, seed, trials, tol, fn) for name, fn in checks.items()]
 
 
@@ -108,10 +109,10 @@ def contraction_identity_reports(seed, trials, tol):
 # Isotropic tensor roles
 # ---------------------------------------------------------------------------
 
-def _err_role(scheme, kind, side, rng):
-    a = random_ten2(rng)
+def _err_role(scheme, kind, side, rng, n):
+    (a,) = uniform_tensors(rng, n, 2)
     got = contraction_role(scheme, kind, a, side)
-    return maxabs(got - expected_role(scheme, kind, a)) / (1.0 + maxabs(a))
+    return maxabs(got - expected_role(scheme, kind, a), 2) / (1.0 + maxabs(a, 2))
 
 
 def iso_role_reports(seed, trials, tol):
@@ -128,7 +129,7 @@ def iso_rotation_reports(seed, tol):
     return [
         fuzz_report(
             f"iso/rotation-invariance/{kind}", seed, ROTATIONS, tol,
-            lambda rng, kind=kind: rotation_error(kind, random_orthogonal(rng)),
+            lambda rng, n, kind=kind: rotation_error(kind, orthogonal_tensors(rng, n)),
         )
         for kind in KINDS
     ]
@@ -138,11 +139,11 @@ def iso_rotation_reports(seed, tol):
 # Layout bridge
 # ---------------------------------------------------------------------------
 
-def _err_layout_roundtrip(rng):
-    m = random_ten4(rng)
-    return max(
-        maxabs(to_trailing_layout(to_nested_layout(m)) - m),
-        maxabs(to_nested_layout(to_trailing_layout(m)) - m),
+def _err_layout_roundtrip(rng, n):
+    (m,) = uniform_tensors(rng, n, 4)
+    return np.maximum(
+        maxabs(to_trailing_layout(to_nested_layout(m)) - m, 4),
+        maxabs(to_nested_layout(to_trailing_layout(m)) - m, 4),
     )
 
 
@@ -159,9 +160,9 @@ def bridge_reports(seed, trials, tol):
         fuzz_report("bridge/layout-roundtrip", seed, trials, tol, _err_layout_roundtrip),
         CheckReport.from_measurement("bridge/layout-constants", 1, const_err, tol, seed),
         fuzz_report("bridge/rank2-contraction", seed, trials, tol,
-                    lambda rng: rank2_bridge_error(random_ten2(rng), random_ten4(rng))),
+                    lambda rng, n: rank2_bridge_error(*uniform_tensors(rng, n, 2, 4))),
         fuzz_report("bridge/rank4-contraction", seed, trials, tol,
-                    lambda rng: rank4_bridge_error(random_ten4(rng), random_ten4(rng))),
+                    lambda rng, n: rank4_bridge_error(*uniform_tensors(rng, n, 4, 4))),
         *(convention_row_check(row, seed, trials, tol) for row in CONVENTION_ROWS),
         check_seq_transposers(seed, min(trials, 100), tol),
     ]

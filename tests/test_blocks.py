@@ -1,0 +1,281 @@
+"""Block evaluation of the fuzzed reports.
+
+fuzz_report hands each report's trial function blocks of up to BLOCK trials.
+The references below evaluate the same checks one trial at a time with the
+single-tensor samplers and the unbatched public operations, so a block
+boundary, a draw-order slip or a regrouped sum shows up as a bit difference.
+"""
+
+import numpy as np
+import pytest
+
+import tenderiv.bridge
+import tenderiv.rng
+import tenderiv.suites
+from tenderiv.algebra import (
+    SUBSCRIPTS,
+    RankError,
+    box,
+    boxhat,
+    ddot_cross,
+    ddot_pos,
+    ddot_seq,
+    dot,
+    ident2,
+    inverse2,
+    maxabs,
+    outer,
+    pos_dot,
+    product,
+    transpose4,
+)
+from tenderiv.bridge import to_nested_layout
+from tenderiv.calculus import catalog, d_inverse, fd_tensor_derivative
+from tenderiv.isotropic import iso_tensor, rotate4
+from tenderiv.reporting import BLOCK, fuzz_report
+from tenderiv.rng import random_ten2, random_ten4, report_rng, trial_rng
+from tenderiv.suites import full_identity_suite
+
+SEED = 2024
+TOL = 1e-12
+I = ident2()
+C1, C2 = iso_tensor("I"), iso_tensor("II")
+CAT = catalog()
+TRIAL_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
+@pytest.fixture(scope="module")
+def trial_functions():
+    """Report name -> the block trial function the suite hands to fuzz_report."""
+    found = {}
+    real = tenderiv.suites.fuzz_report
+
+    def capture(name, seed, trials, tol, trial_errors):
+        found[name] = trial_errors
+        return real(name, seed, trials, tol, trial_errors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (tenderiv.suites, tenderiv.bridge):
+            mp.setattr(module, "fuzz_report", capture)
+        full_identity_suite(0, 1)
+    return found
+
+
+def block_errors(name, trial_errors, trials):
+    """Per-trial errors and block sizes of one report run through fuzz_report."""
+    errors, sizes = [], []
+
+    def record(rng, n):
+        e = trial_errors(rng, n)
+        errors.append(e)
+        sizes.append(n)
+        return e
+
+    fuzz_report(name, SEED, trials, TOL, record)
+    return np.concatenate(errors), sizes
+
+
+# ---------------------------------------------------------------------------
+# one-trial-at-a-time references
+# ---------------------------------------------------------------------------
+
+def ref_ddot_symmetry(rng):
+    a, b = random_ten2(rng), random_ten2(rng)
+    worst = max(
+        max(abs(op(a, b) - op(b, a)), abs(op(a, b) - op(a.T, b.T)))
+        for op in (ddot_seq, ddot_cross)
+    )
+    return worst / (1.0 + maxabs(a) * maxabs(b))
+
+
+def ref_cross_via_seq_4x2(rng):
+    x, y = random_ten4(rng), random_ten2(rng)
+    ref = ddot_cross(x, y)
+    left = ddot_seq(ddot_seq(x, C2), y)
+    right = ddot_seq(x, ddot_seq(C2, y))
+    return max(maxabs(left - ref), maxabs(right - ref)) / (1.0 + maxabs(x) * maxabs(y))
+
+
+def ref_role_seq_i_right(rng):
+    a = random_ten2(rng)
+    return maxabs(ddot_seq(C1, a) - np.trace(a) * I) / (1.0 + maxabs(a))
+
+
+def ref_rotation_ii(rng):
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return max(maxabs(rotate4(C2, q) - C2), maxabs(q @ I @ q.T - I))
+
+
+def ref_rank4_contraction(rng):
+    la, lb = random_ten4(rng), random_ten4(rng)
+    cross = ddot_cross(la, lb)
+    pos = ddot_pos(to_nested_layout(la), to_nested_layout(lb))
+    seq = ddot_seq(ddot_seq(la, C2), lb)
+    return max(maxabs(pos - to_nested_layout(cross)), maxabs(seq - cross)) / (
+        1.0 + maxabs(la) * maxabs(lb))
+
+
+def ref_product_dot(rng):
+    a, b = random_ten2(rng), random_ten2(rng)
+    la, lb = random_ten4(rng), random_ten4(rng)
+    pos = pos_dot(la, b, 2) + dot(a, lb)
+    cross = ddot_cross(box(a, I), lb) + ddot_cross(box(I, b.T), la)
+    nested = dot(to_nested_layout(la), b) + dot(a, to_nested_layout(lb))
+    scale = 1.0 + max(maxabs(a), maxabs(b)) * max(maxabs(la), maxabs(lb))
+    return max(maxabs(cross - pos), maxabs(nested - to_nested_layout(pos))) / scale
+
+
+def ref_inverse(rng):
+    a = I + 0.3 * random_ten2(rng)
+    b = inverse2(a)
+    analytic = d_inverse(a)
+    err = max(
+        maxabs(-box(b, b.T) - analytic),
+        maxabs(-outer(b, b) - to_nested_layout(analytic)),
+    ) / (1.0 + maxabs(b) ** 2)
+    fd = fd_tensor_derivative(CAT["inverse"], a)
+    return max(err, maxabs(fd - analytic) / (1.0 + maxabs(analytic)))
+
+
+def ref_scalar_times_tensor(rng):
+    lam, dpsi = random_ten2(rng), random_ten2(rng)
+    psi = float(rng.uniform(-2.0, 2.0))
+    dlam = random_ten4(rng)
+    analytic = outer(lam, dpsi) + psi * dlam
+    hat = boxhat(lam, dpsi)
+    nested = hat + psi * to_nested_layout(dlam)
+    scale = 1.0 + max(maxabs(lam) * maxabs(dpsi), abs(psi) * maxabs(dlam))
+    return max(
+        maxabs(to_nested_layout(outer(lam, dpsi)) - hat),
+        maxabs(transpose4(box(lam, dpsi), "dr") - hat),
+        maxabs(nested - to_nested_layout(analytic)),
+    ) / scale
+
+
+REFERENCES = {
+    "algebra/ddot-symmetry": ref_ddot_symmetry,
+    "algebra/cross-via-seq-4x2": ref_cross_via_seq_4x2,
+    "iso/role/seq/I/right": ref_role_seq_i_right,
+    "iso/rotation-invariance/II": ref_rotation_ii,
+    "bridge/rank4-contraction": ref_rank4_contraction,
+    "bridge/rule/product_dot": ref_product_dot,
+    "bridge/rule/inverse": ref_inverse,
+    "bridge/rule/scalar_times_tensor": ref_scalar_times_tensor,
+}
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_blocks_match_one_trial_at_a_time(trial_functions, name, trials):
+    got, sizes = block_errors(name, trial_functions[name], trials)
+    rng = report_rng(SEED, name)
+    want = np.array([REFERENCES[name](rng) for _ in range(trials)])
+    assert sizes == [BLOCK] * (trials // BLOCK) + ([trials % BLOCK] if trials % BLOCK else [])
+    assert got.shape == (trials,)
+    assert np.array_equal(got, want), np.flatnonzero(got != want)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_fuzz_report_rejects_no_trials(trials):
+    def must_not_run(rng, n):
+        raise AssertionError("a trial ran")
+
+    with pytest.raises(ValueError):
+        fuzz_report("x", SEED, trials, TOL, must_not_run)
+
+
+# Reports whose operands come from uniform_tensors.  The inverse row is left
+# out: a NaN argument trips its finite-difference domain guard instead.
+POISONABLE = [
+    "algebra/cross-as-seq-transpose",
+    "algebra/ddot-symmetry",
+    "algebra/dot-ddot-associativity",
+    "algebra/pos-equals-cross-rank2",
+    "algebra/cross-via-seq-2x2",
+    "algebra/cross-via-seq-4x2",
+    "algebra/cross-via-seq-4x4",
+    "iso/role/cross/III/left",
+    "iso/role/pos/I/right",
+    "bridge/layout-roundtrip",
+    "bridge/rank2-contraction",
+    "bridge/rule/chain_tensor",
+    "bridge/rule/product_dot",
+    "bridge/rule/unit_and_transposer",
+    "bridge/rule/square",
+    "bridge/rule/scalar_times_tensor",
+]
+
+
+@pytest.mark.parametrize("poisoned", [BLOCK + 5, 2 * BLOCK + 1], ids=["middle", "last"])
+@pytest.mark.parametrize("name", POISONABLE)
+def test_one_nan_operand_fails_its_report(trial_functions, monkeypatch, name, poisoned):
+    # a NaN in the first operand of one trial, in a middle or the last partial block
+    real = tenderiv.rng.uniform_tensors
+    seen = [0]
+
+    def poisoning(rng, n, *ranks):
+        stacks = real(rng, n, *ranks)
+        if seen[0] <= poisoned < seen[0] + n:
+            stacks[0][poisoned - seen[0]].flat[0] = np.nan
+        seen[0] += n
+        return stacks
+
+    for module in (tenderiv.suites, tenderiv.bridge):
+        monkeypatch.setattr(module, "uniform_tensors", poisoning)
+    with np.errstate(invalid="ignore"):
+        report = fuzz_report(name, SEED, 2 * BLOCK + 3, TOL, trial_functions[name])
+    assert seen[0] == 2 * BLOCK + 3
+    assert report.nonfinite == 1
+    assert not report.passed
+    assert np.isfinite(report.max_abs_err)
+
+
+# ---------------------------------------------------------------------------
+# batched products
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 5, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("key", sorted(SUBSCRIPTS))
+def test_batched_product_equals_stacked_single_products(key, n):
+    op, ranks = key
+    rng = trial_rng(900, n)
+    x = rng.uniform(-1.0, 1.0, (n,) + (3,) * ranks[0])
+    y = rng.uniform(-1.0, 1.0, (n,) + (3,) * ranks[1])
+    got = product(op, x, y, ranks)
+    want = np.stack([np.asarray(product(op, x[t], y[t])) for t in range(n)])
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    # no batch axes at all: the same value as the unbatched product
+    assert np.array_equal(product(op, x[0], y[0], ranks), want[0])
+
+
+def test_batched_product_takes_ranks_from_the_caller():
+    # a (3,3,3,3) array is one fourth-rank tensor or a 3x3 stack of second-rank ones
+    rng = trial_rng(901, 0)
+    m, a = random_ten4(rng), random_ten2(rng)
+    as_stack = product("ddot_cross", m, a, (2, 2))
+    assert as_stack.shape == (3, 3)
+    assert as_stack[1, 2] == ddot_cross(m[1, 2], a)
+    assert np.array_equal(product("ddot_cross", m, a, (4, 2)), ddot_cross(m, a))
+
+
+def test_batched_product_rejects_bad_ranks():
+    x2, x4 = np.zeros((5, 3, 3)), np.zeros((5, 3, 3, 3, 3))
+    with pytest.raises(RankError):
+        product("ddot_seq", x2, np.zeros((5, 2, 2)), (2, 2))
+    with pytest.raises(RankError):
+        product("outer", x4, x4, (4, 4))
+    with pytest.raises(RankError):
+        product("dot", x2, x2, (4, 2))
+    with pytest.raises(RankError):
+        product("ddot_seq", np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_maxabs_per_item_propagates_nan():
+    stack = np.zeros((4, 3, 3))
+    stack[1, 2, 0] = -5.0
+    stack[2, 0, 1] = np.nan
+    got = maxabs(stack, 2)
+    assert got[0] == 0.0 and got[1] == 5.0 and np.isnan(got[2]) and got[3] == 0.0
+    assert np.array_equal(maxabs(np.array([-1.0, 2.0]), 0), [1.0, 2.0])

@@ -175,6 +175,12 @@ def test_interleave_transpose_chain():
 
 def test_unit_and_transposer_row_fails_on_a_wrong_contraction(monkeypatch):
     # a cross contraction that transposes its result breaks the unit role of C_II
-    monkeypatch.setattr(tenderiv.bridge, "ddot_cross", lambda x, y: ddot_cross(x, y).T)
+    real = tenderiv.bridge.product
+
+    def wrong(op, x, y, ranks=None):
+        out = real(op, x, y, ranks)
+        return transpose2(out) if op == "ddot_cross" else out
+
+    monkeypatch.setattr(tenderiv.bridge, "product", wrong)
     report = convention_row_check("unit_and_transposer", seed=3, trials=5)
     assert not report.passed

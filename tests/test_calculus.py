@@ -93,16 +93,39 @@ def test_fd_guards_probe_points():
         fd_tensor_derivative(CAT["inverse"], np.zeros((3, 3)))
 
 
+def test_fd_guard_is_checked_at_every_probe_of_a_stack():
+    # det = 1e-5 passes at the base point; the -h probe of component (2,2) is singular
+    near = np.diag([1.0, 1.0, 1e-5])
+    with pytest.raises(DomainError, match=r"probe \(-h\) of component \(2,2\)"):
+        fd_tensor_derivative(CAT["inverse"], near)
+    # trial order first: trial 1's probe fails before trial 2's base point
+    with pytest.raises(DomainError, match=r"probe \(-h\) of component \(2,2\)"):
+        fd_tensor_derivative(CAT["inverse"], np.stack([I, near, np.zeros((3, 3))]))
+    with pytest.raises(DomainError, match="the base point"):
+        fd_tensor_derivative(CAT["inverse"], np.stack([I, np.zeros((3, 3)), near]))
+
+
+@pytest.mark.parametrize("name", sorted(CAT))
+def test_fd_of_a_stack_equals_fd_of_each_argument(name):
+    fn = CAT[name]
+    fd = fd_scalar_derivative if fn.kind == "scalar" else fd_tensor_derivative
+    args = np.stack([I + 0.3 * random_ten2(trial_rng(420, t)) for t in range(4)])
+    assert np.array_equal(fd(fn, args), np.stack([fd(fn, a) for a in args]))
+
+
 def test_fd_probe_points_follow_the_step_rule():
-    # each component alone is probed at a[k,p] +/- 1e-5 * max(1, |a[k,p]|)
+    # each component alone is probed at a[k,p] +/- 1e-5 * max(1, |a[k,p]|);
+    # the whole stencil goes to the evaluator as one stack of 18 probes
     a = np.diag([0.1, -4.0, 1.0])
-    probes = []
+    probes, calls = [], []
 
     def record(x):
-        probes.append(x.copy())
-        return 0.0
+        calls.append(x.shape)
+        probes.extend(x.copy())
+        return np.zeros(len(x))
 
     fd_scalar_derivative(TensorFunction("probe", "scalar", record, None), a)
+    assert calls == [(18, 3, 3)]
     steps = {}
     for probe in probes:
         moved = probe - a
@@ -310,10 +333,11 @@ def test_product_rule_scalar_tensor():
     dlam = random_ten4(trial_rng(417, 1))
     assert np.array_equal(product_rule_scalar_tensor(lam, np.zeros((3, 3)), 1.0, dlam), dlam)
 
-    # constant tensor times the trace: derivative is lam (x) I
+    # constant tensor times the trace: derivative is lam (x) I; the FD probes
+    # arrive as one stack, so the evaluator scales lam by each probe's trace
     composite = TensorFunction(
         "trace-times-constant", "tensor",
-        lambda s: trace(s) * lam, None,
+        lambda s: np.multiply.outer(trace(s), lam), None,
     )
     for t in range(10):
         s = random_ten2(trial_rng(418, t))
@@ -327,7 +351,7 @@ def test_product_rule_scalar_tensor():
 def test_product_rule_scalar_tensor_with_chain_expansion():
     composite = TensorFunction(
         "i2-times-square", "tensor",
-        lambda s: invariants(s).i2 * matpow(s, 2), None,
+        lambda s: np.asarray(invariants(s).i2)[..., None, None] * matpow(s, 2), None,
     )
     for t in range(10):
         s = random_ten2(trial_rng(419, t)) if t else D

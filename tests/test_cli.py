@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import tenderiv.cli
 from tenderiv.cli import main
 from tenderiv.isotropic import iso_tensor
 from tenderiv.serialize import dumps, matrix_obj, parse_tensor4, tensor4_obj
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write(path, obj):
@@ -74,6 +77,24 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, diag_path):
     c2 = write(tmp_path / "c2.json", tensor4_obj(iso_tensor("II")))
     assert main(["convert", "--direction", "to-group2", "--tensor", c2, "--out", out]) == 2
     assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_unwritable_identities_out_fails_before_the_suite(tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the suite ran although --out cannot be written")
+
+    monkeypatch.setattr(tenderiv.cli, "full_identity_suite", must_not_run)
+    out = str(tmp_path / "missing-dir" / "x.json")
+    assert main(["identities", "--trials", "2000", "--out", out]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_identities_output_is_pinned(tmp_path):
+    # bytes recorded from the one-trial-at-a-time implementation; block
+    # evaluation must reproduce them exactly
+    out = tmp_path / "r.json"
+    assert main(["identities", "--seed", "42", "--trials", "200", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "identities_seed42_trials200.json").read_bytes()
 
 
 def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):

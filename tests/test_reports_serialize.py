@@ -81,8 +81,8 @@ def test_load_json_missing_file(tmp_path):
 
 
 def test_nonfinite_trial_error_fails_and_serializes():
-    errors = iter([0.0, float("nan"), 1e-20])
-    report = fuzz_report("x", 3, 3, 1e-12, lambda rng: next(errors))
+    errors = np.array([0.0, float("nan"), 1e-20])
+    report = fuzz_report("x", 3, 3, 1e-12, lambda rng, n: errors[:n])
     assert not report.passed
     assert report.nonfinite == 1
     assert report.max_abs_err == 1e-20

@@ -29,16 +29,17 @@ def test_report_rng_is_keyed_by_seed_and_name():
 
 def test_reports_draw_different_operands(monkeypatch):
     first_draws = []
-    real = tenderiv.bridge.random_ten4
+    real = tenderiv.bridge.uniform_tensors
 
-    def recording(rng, *args, **kwargs):
-        d = real(rng, *args, **kwargs)
-        first_draws.append(d)
-        return d
+    def recording(rng, n, *ranks):
+        stacks = real(rng, n, *ranks)
+        first_draws.append(stacks[0][0])
+        return stacks
 
-    monkeypatch.setattr(tenderiv.bridge, "random_ten4", recording)
+    monkeypatch.setattr(tenderiv.bridge, "uniform_tensors", recording)
     convention_row_check("chain_tensor", seed=5, trials=1)
     row_draw = first_draws[0]
     first_draws.clear()
     check_seq_transposers(seed=5, trials=1)
+    assert row_draw.shape == first_draws[0].shape == (3, 3, 3, 3)
     assert not np.array_equal(row_draw, first_draws[0])
