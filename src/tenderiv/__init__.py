@@ -26,8 +26,6 @@ from .algebra import (
     inverse2,
     invariants,
     matpow,
-    one_hot2,
-    one_hot4,
     outer,
     pos_ddot_left,
     pos_ddot_right,

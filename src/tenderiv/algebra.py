@@ -6,10 +6,11 @@ the basis vectors in dyadic notation.  Storage is zero-based (entry "11" of a
 worked example lives at ``[0, 0]``).
 
 The products ``dot``, ``ddot_seq``, ``ddot_cross``, ``ddot_pos``, ``outer``,
-``box`` and ``boxhat`` are each one row of ``SUBSCRIPTS`` per rank pair;
-``product`` also evaluates every row over stacks of operands (leading batch
-axes, one trial per item).  The three double contractions differ only in how
-they pair the inner basis vectors of their operands:
+``box`` and ``boxhat`` (one row of ``SUBSCRIPTS`` per rank pair) and the
+positional products (one row per slot) are all evaluated by ``product``, on
+single tensors or stacks (leading batch axes, one trial per item).  The three
+double contractions differ only in how they pair the inner basis vectors of
+their operands:
 
 * ``ddot_seq``: nested pairing, nearest basis vectors first;
 * ``ddot_cross``: parallel pairing of the basis vectors;
@@ -48,20 +49,6 @@ def ident2():
     return np.eye(DIM)
 
 
-def one_hot2(i, j):
-    """Second-rank tensor with a single 1 at (i, j), zero-based."""
-    e = np.zeros((DIM, DIM))
-    e[i, j] = 1.0
-    return e
-
-
-def one_hot4(i, j, k, l):
-    """Fourth-rank tensor with a single 1 at (i, j, k, l), zero-based."""
-    e = np.zeros((DIM, DIM, DIM, DIM))
-    e[i, j, k, l] = 1.0
-    return e
-
-
 # (operation, (rank_x, rank_y)) -> einsum subscripts of the product.  This is
 # the only place an index rule is written down; basis derives its
 # metric-weighted component forms from it.
@@ -84,12 +71,18 @@ SUBSCRIPTS = {
     ("outer", (2, 2)): "ij,kl->ijkl",
     ("box", (2, 2)): "ik,jl->ijkl",
     ("boxhat", (2, 2)): "il,jk->ijkl",
+    # positional products, one row per slot (see pos_dot, pos_ddot_left/right)
+    ("pos_dot1", (4, 2)): "ijkl,im->mjkl",
+    ("pos_dot2", (4, 2)): "ijkl,jm->imkl",
+    ("pos_dot3", (4, 2)): "ijkl,km->ijml",
+    ("pos_dot4", (4, 2)): "ijkl,lm->ijkm",
+    ("pos_ddot_left1", (4, 4)): "ijkl,abji->abkl",
+    ("pos_ddot_left2", (4, 4)): "ijkl,abkj->iabl",
+    ("pos_ddot_left3", (4, 4)): "ijkl,ablk->ijab",
+    ("pos_ddot_right2", (4, 4)): "ijkl,jiab->abkl",
+    ("pos_ddot_right3", (4, 4)): "ijkl,kjab->iabl",
+    ("pos_ddot_right4", (4, 4)): "ijkl,lkab->ijab",
 }
-
-
-# The same rows keyed by operand shapes, so that one lookup checks both the
-# ranks and the axis lengths of the operands.
-_BY_SHAPE = {(op, (DIM,) * rx, (DIM,) * ry): s for (op, (rx, ry)), s in SUBSCRIPTS.items()}
 
 
 def _batched(op, subscripts):
@@ -116,38 +109,30 @@ _BY_RANKS = {key: _batched(key[0], s) for key, s in SUBSCRIPTS.items()}
 def product(op, x, y, ranks=None):
     """Evaluate the product ``op`` by its SUBSCRIPTS row.
 
-    Without ``ranks`` the operands are single tensors and a scalar result is a
-    float.  With ``ranks = (rank_x, rank_y)`` the trailing rank_x (rank_y)
-    axes of x (y) hold one tensor and any leading axes are batch axes, which
+    With ``ranks = (rank_x, rank_y)`` the trailing rank_x (rank_y) axes of
+    x (y) hold one tensor and any leading axes are batch axes, which
     broadcast and are kept in the result.  Ranks are passed, never inferred:
     a (3, 3, 3, 3) array is a fourth-rank tensor and a 3x3 stack of
-    second-rank ones alike.
+    second-rank ones alike.  Without ``ranks`` the operands are single
+    tensors, ``ranks = (x.ndim, y.ndim)``.  A scalar result is a float.
 
     Raises RankError when the table has no row for the operand ranks or when
     an operand axis does not have length 3.
     """
     x, y = np.asarray(x), np.asarray(y)
-    if ranks is None:
-        subscripts = _BY_SHAPE.get((op, x.shape, y.shape))
-        if subscripts is None:
-            raise RankError(f"{op}: unsupported operand shapes {x.shape} and {y.shape}")
-        out = np.einsum(subscripts, x, y)
-        return float(out) if out.ndim == 0 else out
-    rx, ry = ranks
-    row = _BY_RANKS.get((op, (rx, ry)))
-    if row is None or not (_has_items(x, rx) and _has_items(y, ry)):
+    rx, ry = ranks = (x.ndim, y.ndim) if ranks is None else tuple(ranks)
+    row = _BY_RANKS.get((op, ranks))
+    # a shorter shape fails too: the slice then holds fewer than rank axes
+    if row is None or x.shape[-rx:] != (DIM,) * rx or y.shape[-ry:] != (DIM,) * ry:
         raise RankError(f"{op}: unsupported operand shapes {x.shape} and {y.shape} "
-                        f"for ranks {tuple(ranks)}")
+                        f"for ranks {ranks}")
     subscripts, spread = row
     if spread:
         batch, item = y.shape[:-ry], y.shape[-ry:]
         y = y.reshape(batch + (1,) * spread + item)
         y = np.ascontiguousarray(np.broadcast_to(y, batch + (DIM,) * spread + item))
-    return np.einsum(subscripts, x, y)
-
-
-def _has_items(a, rank):
-    return a.ndim >= rank and a.shape[a.ndim - rank:] == (DIM,) * rank
+    out = np.einsum(subscripts, x, y)
+    return float(out) if out.ndim == 0 else out
 
 
 def dot(x, y):
@@ -207,12 +192,12 @@ def transpose4(m, kind):
     return np.asarray(m).swapaxes(*slots)
 
 
-_POS_DOT = {
-    1: "...ijkl,...im->...mjkl",
-    2: "...ijkl,...jm->...imkl",
-    3: "...ijkl,...km->...ijml",
-    4: "...ijkl,...lm->...ijkm",
-}
+def _slot_op(op, n):
+    """The SUBSCRIPTS operation of the positional product ``op`` at slot n."""
+    slots = [key[len(op):] for key, _ in SUBSCRIPTS if key[:-1] == op]
+    if str(n) not in slots:
+        raise ValueError(f"{op}: slot must be one of {', '.join(slots)}, got {n!r}")
+    return op + str(n)
 
 
 def pos_dot(h, d, n):
@@ -222,16 +207,7 @@ def pos_dot(h, d, n):
     slot n of the result.  For n = 2: out[i,m,k,l] = sum_j h[i,j,k,l] d[j,m].
     Leading batch axes of h and d broadcast.
     """
-    if n not in _POS_DOT:
-        raise ValueError(f"pos_dot: slot must be 1..4, got {n}")
-    return np.einsum(_POS_DOT[n], h, d)
-
-
-_POS_DDOT_LEFT = {
-    1: "...ijkl,...abji->...abkl",
-    2: "...ijkl,...abkj->...iabl",
-    3: "...ijkl,...ablk->...ijab",
-}
+    return product(_slot_op("pos_dot", n), h, d, (4, 2))
 
 
 def pos_ddot_left(c, m, n):
@@ -241,16 +217,7 @@ def pos_ddot_left(c, m, n):
     sequential double contraction with c.  For n = 2:
     out[i,a,b,l] = sum_jk m[i,j,k,l] c[a,b,k,j].
     """
-    if n not in _POS_DDOT_LEFT:
-        raise ValueError(f"pos_ddot_left: slot must be 1..3, got {n}")
-    return np.einsum(_POS_DDOT_LEFT[n], m, c)
-
-
-_POS_DDOT_RIGHT = {
-    2: "...ijkl,...jiab->...abkl",
-    3: "...ijkl,...kjab->...iabl",
-    4: "...ijkl,...lkab->...ijab",
-}
+    return product(_slot_op("pos_ddot_left", n), m, c, (4, 4))
 
 
 def pos_ddot_right(m, c, n):
@@ -260,9 +227,7 @@ def pos_ddot_right(m, c, n):
     double contraction.  For n = 3:
     out[i,c,d,l] = sum_jk m[i,j,k,l] c[k,j,c,d].
     """
-    if n not in _POS_DDOT_RIGHT:
-        raise ValueError(f"pos_ddot_right: slot must be 2..4, got {n}")
-    return np.einsum(_POS_DDOT_RIGHT[n], m, c)
+    return product(_slot_op("pos_ddot_right", n), m, c, (4, 4))
 
 
 def maxabs(x, rank=None):

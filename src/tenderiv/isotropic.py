@@ -22,22 +22,10 @@ axes and answers item by item.
 
 import numpy as np
 
-from .algebra import (
-    box,
-    boxhat,
-    ddot_cross,
-    ddot_pos,
-    ddot_seq,
-    ident2,
-    maxabs,
-    outer,
-    product,
-    trace,
-    transpose2,
-)
+from .algebra import box, boxhat, ident2, maxabs, outer, product, trace, transpose2
 
 KINDS = ("I", "II", "III")
-SCHEMES = {"seq": ddot_seq, "cross": ddot_cross, "pos": ddot_pos}
+SCHEMES = ("seq", "cross", "pos")
 
 # role of each kind under each scheme: 'unit', 'transpose' or 'trace'
 ROLES = {

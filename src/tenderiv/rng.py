@@ -9,9 +9,10 @@ depend on execution order or parallel schedule.
 
 Reports draw a block of trials at a time (``uniform_tensors``,
 ``orthogonal_tensors``) in trial-major order: trial t's operands follow
-trial t-1's in the stream, in argument order, exactly as if each trial had
-called the single-tensor samplers below one after another.  So the operands
-of a trial do not depend on the block size.
+trial t-1's in the stream, in argument order, as one ``uniform`` draw per
+operand and trial would give them (the one-trial reference samplers in
+``tests/oracles.py``).  So the operands of a trial do not depend on the
+block size.
 """
 
 import hashlib
@@ -67,39 +68,3 @@ def orthogonal_tensors(rng, n):
 def near_identity(u):
     """Unit tensor plus 0.3 u; u uniform in [-1, 1] perturbs by at most 0.3."""
     return np.eye(DIM) + 0.3 * u
-
-
-def random_ten2(rng):
-    """Second-rank tensor with entries uniform in [-1, 1]."""
-    return rng.uniform(-1.0, 1.0, size=(DIM, DIM))
-
-
-def random_ten4(rng):
-    """Fourth-rank tensor with entries uniform in [-1, 1]."""
-    return rng.uniform(-1.0, 1.0, size=(DIM, DIM, DIM, DIM))
-
-
-def random_invertible(rng):
-    """Well-conditioned random tensor: |det| >= 0.1 and condition number <= 50."""
-    while True:
-        a = random_ten2(rng)
-        if abs(np.linalg.det(a)) >= 0.1 and np.linalg.cond(a) <= 50.0:
-            return a
-
-
-def random_near_identity(rng):
-    """Unit tensor plus a perturbation with entries uniform in [-0.3, 0.3]."""
-    return near_identity(random_ten2(rng))
-
-
-def random_orthogonal(rng):
-    """One orthogonal tensor; see orthogonal_tensors."""
-    return orthogonal_tensors(rng, 1)[0]
-
-
-def random_frame(rng):
-    """Rows of a mildly skewed frame: I + 0.5 U with |triple product| >= 0.2."""
-    while True:
-        f = np.eye(DIM) + 0.5 * random_ten2(rng)
-        if abs(np.linalg.det(f)) >= 0.2:
-            return f

@@ -95,7 +95,8 @@ def tensor4_obj(h):
 def _as_array(data, shape, what):
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer too large for a float
         raise SerializeError(f"{what}: not a numeric array ({exc})") from None
     if arr.shape != shape:
         raise SerializeError(f"{what}: expected shape {shape}, got {arr.shape}")

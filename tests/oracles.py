@@ -1,8 +1,10 @@
-"""Brute-force index oracles: naive loop evaluation of every product.
+"""Brute-force index oracles and one-trial reference samplers.
 
-These re-derive each operation directly from its index formula with explicit
-Python loops and no shared code with the package, so a test comparing the two
-paths is a genuine dual-route check.
+The oracles re-derive each operation directly from its index formula with
+explicit Python loops and no shared code with the package, so a test
+comparing the two paths is a genuine dual-route check.  The samplers draw one
+tensor per call with plain numpy; the package's block draws must give the
+same numbers trial by trial.
 """
 
 import itertools
@@ -10,6 +12,61 @@ import itertools
 import numpy as np
 
 R = range(3)
+
+
+def one_hot2(i, j):
+    """Second-rank tensor with a single 1 at (i, j), zero-based."""
+    e = np.zeros((3, 3))
+    e[i, j] = 1.0
+    return e
+
+
+def one_hot4(i, j, k, l):
+    """Fourth-rank tensor with a single 1 at (i, j, k, l), zero-based."""
+    e = np.zeros((3, 3, 3, 3))
+    e[i, j, k, l] = 1.0
+    return e
+
+
+def random_ten2(rng):
+    """Second-rank tensor with entries uniform in [-1, 1]."""
+    return rng.uniform(-1.0, 1.0, size=(3, 3))
+
+
+def random_ten4(rng):
+    """Fourth-rank tensor with entries uniform in [-1, 1]."""
+    return rng.uniform(-1.0, 1.0, size=(3, 3, 3, 3))
+
+
+def random_invertible(rng):
+    """Well-conditioned random tensor: |det| >= 0.1 and condition number <= 50."""
+    while True:
+        a = random_ten2(rng)
+        if abs(np.linalg.det(a)) >= 0.1 and np.linalg.cond(a) <= 50.0:
+            return a
+
+
+def random_near_identity(rng):
+    """Unit tensor plus a perturbation with entries uniform in [-0.3, 0.3]."""
+    return np.eye(3) + 0.3 * random_ten2(rng)
+
+
+def random_orthogonal(rng):
+    """Orthogonal tensor from the QR factorization of a random matrix.
+
+    The signs of the factorization are fixed by the diagonal of R; the
+    determinant sign is left as drawn.
+    """
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def random_frame(rng):
+    """Rows of a mildly skewed frame: I + 0.5 U with |triple product| >= 0.2."""
+    while True:
+        f = np.eye(3) + 0.5 * random_ten2(rng)
+        if abs(np.linalg.det(f)) >= 0.2:
+            return f
 
 
 def dot_oracle(x, y):

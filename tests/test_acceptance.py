@@ -23,15 +23,10 @@ from tenderiv.calculus import (
 )
 from tenderiv.basis import make_basis, verify_basis_invariance
 from tenderiv.isotropic import KINDS, SCHEMES, contraction_role, expected_role, iso_tensor
-from tenderiv.rng import (
-    random_frame,
-    random_invertible,
-    random_near_identity,
-    random_ten2,
-    random_ten4,
-    trial_rng,
-)
+from tenderiv.rng import trial_rng
 from tenderiv.suites import bridge_reports, contraction_identity_reports
+
+from oracles import random_frame, random_invertible, random_near_identity, random_ten2, random_ten4
 
 SEED = 42
 CAT = catalog()

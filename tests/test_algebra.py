@@ -17,8 +17,6 @@ from tenderiv.algebra import (
     inverse2,
     invariants,
     matpow,
-    one_hot2,
-    one_hot4,
     outer,
     pos_ddot_left,
     pos_ddot_right,
@@ -27,9 +25,10 @@ from tenderiv.algebra import (
     transpose4,
 )
 from tenderiv.isotropic import iso_tensor
-from tenderiv.rng import random_ten2, random_ten4, trial_rng
+from tenderiv.rng import trial_rng
 
 import oracles
+from oracles import one_hot2, one_hot4, random_ten2, random_ten4
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])
@@ -220,7 +219,7 @@ def test_pos_dot_all_slots_match_oracle():
         h, d = random_ten4(rng), random_ten2(rng)
         for n in (1, 2, 3, 4):
             assert maxabs(pos_dot(h, d, n) - oracles.pos_dot_oracle(h, d, n)) < 1e-13
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slot must be one of 1, 2, 3, 4, got 5"):
         pos_dot(C1, I, 5)
 
 
@@ -231,7 +230,7 @@ def test_pos_ddot_left_transposes():
         assert np.array_equal(pos_ddot_left(C2, m, 3), transpose4(m, "dr"))
         assert np.array_equal(pos_ddot_left(C2, m, 1), transpose4(m, "dl"))
     assert np.array_equal(pos_ddot_left(C2, one_hot4(0, 1, 2, 0), 2), one_hot4(0, 2, 1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slot must be one of 1, 2, 3, got 4"):
         pos_ddot_left(C2, C1, 4)
 
 
@@ -242,7 +241,7 @@ def test_pos_ddot_right_transposes():
         assert np.array_equal(pos_ddot_right(m, C2, 4), transpose4(m, "dr"))
     assert np.array_equal(pos_ddot_right(one_hot4(0, 1, 2, 0), C2, 3), one_hot4(0, 2, 1, 0))
     assert np.array_equal(pos_ddot_right(C1, C2, 3), transpose4(C1, "ti"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="slot must be one of 2, 3, 4, got 1"):
         pos_ddot_right(C1, C2, 1)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tenderiv import algebra
-from tenderiv.algebra import ddot_pos, ident2, one_hot2
+from tenderiv.algebra import ddot_pos, ident2
 from tenderiv.basis import (
     DegenerateFrameError,
     from_components,
@@ -13,7 +13,9 @@ from tenderiv.basis import (
     verify_basis_invariance,
 )
 from tenderiv.isotropic import iso_tensor
-from tenderiv.rng import random_frame, random_ten2, random_ten4, trial_rng
+from tenderiv.rng import trial_rng
+
+from oracles import one_hot2, random_frame, random_ten2, random_ten4
 
 E1, E2, E3 = np.eye(3)
 
@@ -112,6 +114,9 @@ OPS_AND_RANKS = [
     ("ddot_cross", (2, 2)), ("ddot_cross", (2, 4)), ("ddot_cross", (4, 2)), ("ddot_cross", (4, 4)),
     ("ddot_pos", (2, 2)), ("ddot_pos", (2, 4)), ("ddot_pos", (4, 2)), ("ddot_pos", (4, 4)),
     ("outer", (2, 2)), ("box", (2, 2)), ("boxhat", (2, 2)),
+    ("pos_dot1", (4, 2)), ("pos_dot2", (4, 2)), ("pos_dot3", (4, 2)), ("pos_dot4", (4, 2)),
+    ("pos_ddot_left1", (4, 4)), ("pos_ddot_left2", (4, 4)), ("pos_ddot_left3", (4, 4)),
+    ("pos_ddot_right2", (4, 4)), ("pos_ddot_right3", (4, 4)), ("pos_ddot_right4", (4, 4)),
 ]
 
 _SAMPLE = {2: random_ten2, 4: random_ten4}

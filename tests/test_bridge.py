@@ -11,8 +11,6 @@ from tenderiv.algebra import (
     ddot_seq,
     ident2,
     inverse2,
-    one_hot2,
-    one_hot4,
     outer,
     transpose2,
 )
@@ -27,8 +25,10 @@ from tenderiv.bridge import (
 )
 from tenderiv.calculus import d_inverse, d_power
 from tenderiv.isotropic import iso_tensor
-from tenderiv.rng import random_near_identity, random_ten2, random_ten4, trial_rng
+from tenderiv.rng import trial_rng
 from tenderiv.suites import bridge_reports, full_identity_suite
+
+from oracles import one_hot2, one_hot4, random_near_identity, random_ten2, random_ten4
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])

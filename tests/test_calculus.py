@@ -12,7 +12,6 @@ from tenderiv.algebra import (
     inverse2,
     invariants,
     matpow,
-    one_hot2,
     outer,
     trace,
     transpose2,
@@ -35,13 +34,9 @@ from tenderiv.calculus import (
     product_rule_scalar_tensor,
 )
 from tenderiv.isotropic import iso_tensor
-from tenderiv.rng import (
-    random_invertible,
-    random_near_identity,
-    random_ten2,
-    random_ten4,
-    trial_rng,
-)
+from tenderiv.rng import trial_rng
+
+from oracles import one_hot2, random_invertible, random_near_identity, random_ten2, random_ten4
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])

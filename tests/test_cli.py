@@ -135,7 +135,7 @@ def test_deriv_domain_guard(tmp_path, capsys):
     assert payload["error"]["type"] == "domain-error"
 
 
-def test_deriv_usage_errors(tmp_path, diag_path):
+def test_deriv_usage_errors(tmp_path, capsys, diag_path):
     assert main(["deriv", "--fn", "nope", "--at", diag_path]) == 2
     missing = str(tmp_path / "missing.json")
     assert main(["deriv", "--fn", "I1", "--at", missing]) == 2
@@ -144,6 +144,11 @@ def test_deriv_usage_errors(tmp_path, diag_path):
     assert main(["deriv", "--fn", "I1", "--at", str(truncated)]) == 2
     wrong_shape = write(tmp_path / "w.json", {"matrix": [[1.0, 2.0], [3.0, 4.0]]})
     assert main(["deriv", "--fn", "I1", "--at", wrong_shape]) == 2
+    # a JSON integer too large for a float
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"matrix": [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    assert main(["deriv", "--fn", "I1", "--at", str(huge)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_convert_layouts(tmp_path):
@@ -158,13 +163,19 @@ def test_convert_layouts(tmp_path):
     assert back.read_bytes() == (tmp_path / "c2.json").read_bytes()
 
 
-def test_convert_parse_errors(tmp_path):
+def test_convert_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"tensor4": [[1, 2], [3')
     assert main(["convert", "--direction", "to-group2", "--tensor", str(bad)]) == 2
     flat = write(tmp_path / "flat.json", {"tensor4": [0.0] * 81})
     assert main(["convert", "--direction", "to-group2", "--tensor", flat]) == 2
     assert main(["convert", "--direction", "sideways", "--tensor", flat]) == 2
+    entries = np.zeros((3, 3, 3, 3), dtype=int).tolist()
+    entries[0][0][0][0] = 10**400  # a JSON integer too large for a float
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"tensor4": entries}))
+    assert main(["convert", "--direction", "to-group2", "--tensor", str(huge)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tenderiv.algebra import box, boxhat, ident2, one_hot2, outer, trace
+from tenderiv.algebra import box, boxhat, ident2, outer, trace
 from tenderiv.isotropic import (
     KINDS,
     SCHEMES,
@@ -13,9 +13,10 @@ from tenderiv.isotropic import (
     rotate4,
     rotation_error,
 )
-from tenderiv.rng import random_orthogonal, random_ten2, trial_rng
+from tenderiv.rng import trial_rng
 
 import oracles
+from oracles import one_hot2, random_orthogonal, random_ten2
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])
