@@ -8,9 +8,9 @@ worked example lives at ``[0, 0]``).
 The products ``dot``, ``ddot_seq``, ``ddot_cross``, ``ddot_pos``, ``outer``,
 ``box`` and ``boxhat`` (one row of ``SUBSCRIPTS`` per rank pair) and the
 positional products (one row per slot) are all evaluated by ``product``, on
-single tensors or stacks (leading batch axes, one trial per item).  The three
-double contractions differ only in how they pair the inner basis vectors of
-their operands:
+single tensors or stacks (leading batch axes, one trial per item), each as
+one matrix product planned from its row.  The three double contractions
+differ only in how they pair the inner basis vectors of their operands:
 
 * ``ddot_seq``: nested pairing, nearest basis vectors first;
 * ``ddot_cross``: parallel pairing of the basis vectors;
@@ -21,6 +21,7 @@ their operands:
 All functions are pure and never mutate their arguments.
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -49,9 +50,9 @@ def ident2():
     return np.eye(DIM)
 
 
-# (operation, (rank_x, rank_y)) -> einsum subscripts of the product.  This is
-# the only place an index rule is written down; basis derives its
-# metric-weighted component forms from it.
+# (operation, (rank_x, rank_y)) -> index labels of x, y and the product.  This
+# is the only place an index rule is written down; product plans from it and
+# basis derives its metric-weighted component forms from it.
 SUBSCRIPTS = {
     ("dot", (2, 2)): "im,mj->ij",
     ("dot", (2, 4)): "im,mjkl->ijkl",
@@ -85,53 +86,65 @@ SUBSCRIPTS = {
 }
 
 
-def _batched(op, subscripts):
-    """A SUBSCRIPTS row for stacks: leading batch axes on the operands and the result.
+def _plan(subscripts):
+    """A SUBSCRIPTS row as the matrix product of x as (Fx, C) by y as (C, Fy).
 
-    Returns the subscripts and the number of free labels of x spread over y.
-    A double contraction of a fourth-rank by a second-rank stack would
-    otherwise run with the batch axis as a loop of its own, and einsum then
-    regroups the nine-term sums: the rounding no longer matches the same
-    product on one trial.  Broadcasting y over the free labels of x restores
-    the single-trial loop nest, with the batch merged into the outer loop.
+    C holds the contracted labels, Fx and Fy the free ones of x and y.  Gives
+    (axis order, matrix shape) of x and y and (axis order, shape) from (Fx, Fy)
+    to the result; an identity order is None, and its transpose is skipped.
     """
-    operands, result = subscripts.split("->")
+    operands, out = subscripts.split("->")
     x, y = operands.split(",")
-    spread = ""
-    if op.startswith("ddot") and (len(x), len(y)) == (4, 2):
-        spread = "".join(label for label in result if label not in y)
-    return f"...{x},...{spread}{y}->...{result}", len(spread)
+    # in their order in the larger operand: a transpose they need falls on the smaller
+    contracted = [c for c in max(x, y, key=len) if c in x and c in y]
+    fx, fy = [c for c in x if c in out], [c for c in y if c in out]
+    orders = [tuple(source.index(c) for c in labels)
+              for labels, source in ((fx + contracted, x), (contracted + fy, y), (out, fx + fy))]
+    x_order, y_order, out_order = [None if o == tuple(range(len(o))) else o for o in orders]
+    k = DIM ** len(contracted)
+    return ((x_order, (DIM ** len(fx), k)), (y_order, (k, DIM ** len(fy))),
+            (out_order, (DIM,) * len(out)))
 
 
-_BY_RANKS = {key: _batched(key[0], s) for key, s in SUBSCRIPTS.items()}
+_PLANS = {key: _plan(s) for key, s in SUBSCRIPTS.items()}
+
+
+@lru_cache(maxsize=None)
+def _axes(order, batch):
+    return (*range(batch), *(batch + i for i in order))
+
+
+def _permuted(a, order, rank):
+    """a with its trailing ``rank`` axes in ``order``; the leading axes stay in place."""
+    return a if order is None else a.transpose(_axes(order, a.ndim - rank))
 
 
 def product(op, x, y, ranks=None):
-    """Evaluate the product ``op`` by its SUBSCRIPTS row.
+    """Evaluate the product ``op`` by its SUBSCRIPTS row, as one matrix product.
 
     With ``ranks = (rank_x, rank_y)`` the trailing rank_x (rank_y) axes of
     x (y) hold one tensor and any leading axes are batch axes, which
     broadcast and are kept in the result.  Ranks are passed, never inferred:
     a (3, 3, 3, 3) array is a fourth-rank tensor and a 3x3 stack of
     second-rank ones alike.  Without ``ranks`` the operands are single
-    tensors, ``ranks = (x.ndim, y.ndim)``.  A scalar result is a float.
+    tensors, ``ranks = (x.ndim, y.ndim)``.  A scalar result is a float.  The
+    operands are made contiguous in the row's order first, so a batched product
+    equals the stack of single products bit for bit, whatever their strides.
 
     Raises RankError when the table has no row for the operand ranks or when
     an operand axis does not have length 3.
     """
     x, y = np.asarray(x), np.asarray(y)
     rx, ry = ranks = (x.ndim, y.ndim) if ranks is None else tuple(ranks)
-    row = _BY_RANKS.get((op, ranks))
+    plan = _PLANS.get((op, ranks))
     # a shorter shape fails too: the slice then holds fewer than rank axes
-    if row is None or x.shape[-rx:] != (DIM,) * rx or y.shape[-ry:] != (DIM,) * ry:
+    if plan is None or x.shape[-rx:] != (DIM,) * rx or y.shape[-ry:] != (DIM,) * ry:
         raise RankError(f"{op}: unsupported operand shapes {x.shape} and {y.shape} "
                         f"for ranks {ranks}")
-    subscripts, spread = row
-    if spread:
-        batch, item = y.shape[:-ry], y.shape[-ry:]
-        y = y.reshape(batch + (1,) * spread + item)
-        y = np.ascontiguousarray(np.broadcast_to(y, batch + (DIM,) * spread + item))
-    out = np.einsum(subscripts, x, y)
+    (x_order, x_shape), (y_order, y_shape), (out_order, out_shape) = plan
+    out = (np.ascontiguousarray(_permuted(x, x_order, rx)).reshape(x.shape[:-rx] + x_shape)
+           @ np.ascontiguousarray(_permuted(y, y_order, ry)).reshape(y.shape[:-ry] + y_shape))
+    out = _permuted(out.reshape(out.shape[:-2] + out_shape), out_order, len(out_shape))
     return float(out) if out.ndim == 0 else out
 
 
@@ -271,18 +284,30 @@ def invariants(a):
     return Invariants(t1, i2, i3)
 
 
+# flat indices of the factors of cof[i, j] = a[i+1,j+1] a[i+2,j+2] - a[i+1,j+2] a[i+2,j+1]
+_COFACTOR_TERMS = np.array([[[DIM * ((i + di) % DIM) + (j + dj) % DIM for j in range(DIM)]
+                             for i in range(DIM)] for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))])
+
+
+def cofactors(a):
+    """Cofactors and determinant (expanded along row 0) of one tensor or of each in a stack."""
+    a = np.asarray(a, dtype=float)
+    terms = a.reshape(a.shape[:-2] + (DIM * DIM,))[..., _COFACTOR_TERMS]
+    cof = terms[..., 0, :, :] * terms[..., 1, :, :] - terms[..., 2, :, :] * terms[..., 3, :, :]
+    return cof, np.sum(a[..., 0, :] * cof[..., 0, :], axis=-1)
+
+
 def inverse2(a):
-    """Inverse of a second-rank tensor, or of each one in a stack.
+    """Inverse of a second-rank tensor, or of each one in a stack, from its cofactors.
 
     Raises SingularTensorError, carrying the first offending determinant, when
     any |det| < DET_FLOOR.
     """
-    a = np.asarray(a, dtype=float)
-    det = np.linalg.det(a)
+    cof, det = cofactors(a)
     singular = np.flatnonzero(np.abs(det) < DET_FLOOR)
     if singular.size:
         raise SingularTensorError(det.flat[singular[0]])
-    return np.linalg.inv(a)
+    return transpose2(cof) / det[..., None, None]
 
 
 def matpow(a, n):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import DET_FLOOR, DIM, maxabs
+from .algebra import DET_FLOOR, DIM, cofactors, maxabs
 from .reporting import CheckReport
 
 
@@ -46,7 +46,7 @@ def make_basis(v1, v2, v3):
     """Build a basis from three frame vectors.
 
     The reciprocal vectors are the rows of the inverse-transposed frame
-    matrix, which enforces r_i . r^j = d_i^j exactly up to rounding.
+    matrix (cofactors / triple product): r_i . r^j = d_i^j up to rounding.
 
     Raises DegenerateFrameError when the triple product of the frame is
     smaller than DET_FLOOR in magnitude, the floor below which inverse2
@@ -55,10 +55,10 @@ def make_basis(v1, v2, v3):
     frame = np.array([v1, v2, v3], dtype=float)
     if frame.shape != (DIM, DIM) or not np.all(np.isfinite(frame)):
         raise ValueError("make_basis: expected three finite 3-vectors")
-    triple = float(np.linalg.det(frame))
+    cof, triple = cofactors(frame)
     if abs(triple) < DET_FLOOR:
         raise DegenerateFrameError(triple)
-    reciprocal = np.linalg.inv(frame).T
+    reciprocal = cof / triple
     return Basis(
         frame=frame,
         reciprocal=reciprocal,

@@ -86,8 +86,10 @@ def expected_role(scheme, kind, a):
 
 
 def rotate4(c, q):
-    """Rotate every slot of a fourth-rank tensor by the second-rank tensor q."""
-    return np.einsum("...ip,...jq,...kr,...ls,...pqrs->...ijkl", q, q, q, q, c)
+    """Rotate every slot of a fourth-rank tensor by the second-rank tensor q, slot by slot."""
+    for n in (1, 2, 3, 4):
+        c = product(f"pos_dot{n}", c, transpose2(q), (4, 2))
+    return c
 
 
 def rotation_error(kind, q):

@@ -6,7 +6,7 @@ import numpy as np
 
 from .rng import report_rng
 
-# Trials evaluated together by fuzz_report: large enough that one einsum per
+# Trials evaluated together by fuzz_report: large enough that one call per
 # product per block outweighs the Python overhead, small enough to keep the
 # block's operands and temporaries within a few hundred kilobytes.
 BLOCK = 128

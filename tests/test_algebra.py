@@ -8,6 +8,7 @@ from tenderiv.algebra import (
     SingularTensorError,
     box,
     boxhat,
+    cofactors,
     ddot_cross,
     ddot_pos,
     ddot_seq,
@@ -278,6 +279,34 @@ def test_inverse2():
     with pytest.raises(SingularTensorError) as err:
         inverse2(one_hot2(0, 0))
     assert err.value.det == 0.0
+
+
+def test_cofactors_match_linalg_on_well_conditioned_stacks():
+    rng = trial_rng(112, 0)
+    stack = np.eye(3) + 0.3 * rng.uniform(-1.0, 1.0, (256, 3, 3))
+    cof, det = cofactors(stack)
+    assert det.shape == (256,)
+    assert maxabs(det - np.linalg.det(stack)) <= 1e-14
+    assert maxabs(inverse2(stack) - np.linalg.inv(stack)) <= 1e-14
+    assert maxabs(cof - np.linalg.inv(stack).swapaxes(-1, -2) * det[:, None, None]) <= 1e-14
+    # a single tensor gives the same bits as its item of the stack
+    for t in (0, 17, 255):
+        single_cof, single_det = cofactors(stack[t])
+        assert np.array_equal(single_cof, cof[t]) and single_det == det[t]
+        assert np.array_equal(inverse2(stack[t]), inverse2(stack)[t])
+
+
+def test_inverse2_reports_the_first_singular_item():
+    stack = np.eye(3) + 0.3 * random_ten2(trial_rng(113, 0)) * np.ones((6, 1, 1))
+    stack[2, 2] = stack[2, 1]  # a repeated row: det exactly 0
+    stack[4] = 1e-3 * np.eye(3)  # det 1e-9, also below the floor
+    with pytest.raises(SingularTensorError) as err:
+        inverse2(stack)
+    assert err.value.det == 0.0
+    assert cofactors(stack)[1][4] == pytest.approx(1e-9)
+    with pytest.raises(SingularTensorError) as err:
+        inverse2(stack[3:])
+    assert err.value.det == pytest.approx(1e-9)
 
 
 def test_matpow():

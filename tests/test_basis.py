@@ -43,6 +43,15 @@ def test_degenerate_frame_raises():
     assert err.value.triple_product == 0.0
 
 
+def test_reciprocal_frame_and_triple_product_match_linalg():
+    for t in range(50):
+        frame = random_frame(trial_rng(201, t))
+        b = make_basis(*frame)
+        assert maxabs(b.reciprocal - np.linalg.inv(frame).T) <= 1e-14
+        triple = np.dot(frame[0], np.cross(frame[1], frame[2]))
+        assert abs(algebra.cofactors(frame)[1] - triple) <= 1e-14
+
+
 def test_duality_and_metric_inversion():
     for t in range(50):
         b = make_basis(*random_frame(trial_rng(200, t)))

@@ -36,7 +36,20 @@ from tenderiv.reporting import BLOCK, fuzz_report
 from tenderiv.rng import report_rng, trial_rng
 from tenderiv.suites import full_identity_suite
 
-from oracles import random_ten2, random_ten4
+from oracles import (
+    box_oracle,
+    boxhat_oracle,
+    ddot_cross_oracle,
+    ddot_pos_oracle,
+    ddot_seq_oracle,
+    dot_oracle,
+    outer_oracle,
+    pos_ddot_left_oracle,
+    pos_ddot_right_oracle,
+    pos_dot_oracle,
+    random_ten2,
+    random_ten4,
+)
 
 SEED = 2024
 TOL = 1e-12
@@ -237,28 +250,122 @@ def test_one_nan_operand_fails_its_report(trial_functions, monkeypatch, name, po
 # batched products
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 5, BLOCK, BLOCK + 1])
+# slot orders in which the values of a stack are stored before being viewed
+# back in slot order: each view is non-contiguous with permuted strides
+STORED_ORDERS = {
+    2: [(1, 0)],
+    4: [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0), (1, 2, 3, 0)],
+}
+
+
+def views(a, rank):
+    """The stack a as an array and as strided and slot-permuted views of its values."""
+    found = [a]
+    spread = np.zeros((2 * len(a),) + a.shape[1:])
+    spread[::2] = a  # every other item of a longer stack
+    found.append(spread[::2])
+    wide = np.zeros((len(a),) + (6,) * rank)
+    every_other = (slice(None),) + (slice(None, None, 2),) * rank
+    wide[every_other] = a  # every other entry along each slot
+    found.append(wide[every_other])
+    for order in STORED_ORDERS[rank]:
+        stored = np.ascontiguousarray(a.transpose(0, *(1 + i for i in order)))
+        found.append(stored.transpose(0, *(1 + i for i in np.argsort(order))))
+    for view in found:
+        assert np.array_equal(view, a)
+    return found
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, BLOCK, BLOCK + 1])
 @pytest.mark.parametrize("key", sorted(SUBSCRIPTS))
 def test_batched_product_equals_stacked_single_products(key, n):
     op, ranks = key
     rng = trial_rng(900, n)
     x = rng.uniform(-1.0, 1.0, (n,) + (3,) * ranks[0])
     y = rng.uniform(-1.0, 1.0, (n,) + (3,) * ranks[1])
-    inputs = [(x, y)]
-    if op.startswith("ddot") and ranks == (4, 2):
-        # the second-rank operand also as a transposed, non-contiguous view
-        inputs.append((x, y.swapaxes(-1, -2)))
-    for x, y in inputs:
+    got = product(op, x, y, ranks)
+    singles = [np.asarray(product(op, x[t], y[t])) for t in range(n)]
+    want = np.stack(singles)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    # each single product equals its one-item batch
+    for t, single in enumerate(singles):
+        assert np.array_equal(product(op, x[t:t + 1], y[t:t + 1], ranks)[0], single)
+    # no batch axes at all: the same value as the unbatched product
+    assert np.array_equal(product(op, x[0], y[0], ranks), want[0])
+    # the strides of the operands change no bit, batched or item by item
+    x_views, y_views = views(x, ranks[0]), views(y, ranks[1])
+    inputs = ([(v, y) for v in x_views[1:]] + [(x, v) for v in y_views[1:]]
+              + list(zip(x_views[1:], y_views[1:])))
+    for xv, yv in inputs:
+        assert np.array_equal(product(op, xv, yv, ranks), want)
+        assert np.array_equal(np.stack([product(op, xv[t], yv[t]) for t in range(n)]), want)
+
+
+def oracle_of(op):
+    """The loop oracle of a SUBSCRIPTS operation, as a function of (x, y)."""
+    for prefix, oracle in [("pos_dot", pos_dot_oracle), ("pos_ddot_right", pos_ddot_right_oracle)]:
+        if op.startswith(prefix):
+            return lambda x, y: oracle(x, y, int(op[len(prefix):]))
+    if op.startswith("pos_ddot_left"):
+        return lambda x, y: pos_ddot_left_oracle(y, x, int(op[len("pos_ddot_left"):]))
+    return LOOP_ORACLES[op]
+
+
+LOOP_ORACLES = {
+    "dot": dot_oracle, "ddot_seq": ddot_seq_oracle, "ddot_cross": ddot_cross_oracle,
+    "ddot_pos": ddot_pos_oracle, "outer": outer_oracle, "box": box_oracle,
+    "boxhat": boxhat_oracle,
+}
+
+
+@pytest.mark.parametrize("batched", ["both", "x", "y", "neither"])
+@pytest.mark.parametrize("key", sorted(SUBSCRIPTS))
+def test_product_matches_loop_oracle_with_and_without_batch_axes(key, batched):
+    op, ranks = key
+    n = 3
+    rng = trial_rng(902, 0)
+    xs = rng.uniform(-2.0, 2.0, (n,) + (3,) * ranks[0])
+    ys = rng.uniform(-2.0, 2.0, (n,) + (3,) * ranks[1])
+    x = xs if batched in ("both", "x") else xs[0]
+    y = ys if batched in ("both", "y") else ys[0]
+    got = product(op, x, y, ranks)
+    items = [got] if batched == "neither" else list(got)
+    for t, item in enumerate(items):
+        xt = xs[t] if batched in ("both", "x") else xs[0]
+        yt = ys[t] if batched in ("both", "y") else ys[0]
+        want = oracle_of(op)(xt, yt)
+        assert np.shape(item) == np.shape(want)
+        assert np.max(np.abs(item - want)) / (1.0 + maxabs(xt) * maxabs(yt)) <= 1e-14
+
+
+@pytest.mark.parametrize("key", sorted(SUBSCRIPTS))
+def test_nonfinite_item_stays_in_its_item_and_fails_its_report(key):
+    op, ranks = key
+    n, poisoned = BLOCK + 1, 70
+    rng = trial_rng(903, 0)
+    x = rng.uniform(-1.0, 1.0, (n,) + (3,) * ranks[0])
+    y = rng.uniform(-1.0, 1.0, (n,) + (3,) * ranks[1])
+    clean = product(op, x, y, ranks)
+    x[poisoned].flat[0] = np.nan
+    y[poisoned].flat[-1] = np.inf
+    out_rank = np.ndim(clean) - 1
+    done = [0]
+
+    def trial_errors(rng, size):
+        block = slice(done[0], done[0] + size)
+        done[0] += size
+        return maxabs(product(op, x[block], y[block], ranks) - clean[block], out_rank)
+
+    with np.errstate(invalid="ignore"):
         got = product(op, x, y, ranks)
-        singles = [np.asarray(product(op, x[t], y[t])) for t in range(n)]
-        want = np.stack(singles)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-        # each single product equals its one-item batch
-        for t, single in enumerate(singles):
-            assert np.array_equal(product(op, x[t:t + 1], y[t:t + 1], ranks)[0], single)
-        # no batch axes at all: the same value as the unbatched product
-        assert np.array_equal(product(op, x[0], y[0], ranks), want[0])
+        report = fuzz_report(f"kernel/{op}", SEED, n, TOL, trial_errors)
+    finite = np.isfinite(got).reshape(n, -1).all(axis=1)
+    assert not finite[poisoned]
+    assert finite.sum() == n - 1
+    assert np.array_equal(np.delete(got, poisoned, axis=0), np.delete(clean, poisoned, axis=0))
+    assert done[0] == n
+    assert report.nonfinite == 1 and not report.passed and report.max_abs_err == 0.0
 
 
 def test_batched_product_takes_ranks_from_the_caller():
