@@ -302,6 +302,13 @@ def test_batched_product_equals_stacked_single_products(key, n):
         assert np.array_equal(np.stack([product(op, xv[t], yv[t]) for t in range(n)]), want)
 
 
+LOOP_ORACLES = {
+    "dot": dot_oracle, "ddot_seq": ddot_seq_oracle, "ddot_cross": ddot_cross_oracle,
+    "ddot_pos": ddot_pos_oracle, "outer": outer_oracle, "box": box_oracle,
+    "boxhat": boxhat_oracle,
+}
+
+
 def oracle_of(op):
     """The loop oracle of a SUBSCRIPTS operation, as a function of (x, y)."""
     for prefix, oracle in [("pos_dot", pos_dot_oracle), ("pos_ddot_right", pos_ddot_right_oracle)]:
@@ -310,13 +317,6 @@ def oracle_of(op):
     if op.startswith("pos_ddot_left"):
         return lambda x, y: pos_ddot_left_oracle(y, x, int(op[len("pos_ddot_left"):]))
     return LOOP_ORACLES[op]
-
-
-LOOP_ORACLES = {
-    "dot": dot_oracle, "ddot_seq": ddot_seq_oracle, "ddot_cross": ddot_cross_oracle,
-    "ddot_pos": ddot_pos_oracle, "outer": outer_oracle, "box": box_oracle,
-    "boxhat": boxhat_oracle,
-}
 
 
 @pytest.mark.parametrize("batched", ["both", "x", "y", "neither"])
