@@ -292,8 +292,10 @@ _COFACTOR_TERMS = np.array([[[DIM * ((i + di) % DIM) + (j + dj) % DIM for j in r
 def cofactors(a):
     """Cofactors and determinant (expanded along row 0) of one tensor or of each in a stack."""
     a = np.asarray(a, dtype=float)
-    terms = a.reshape(a.shape[:-2] + (DIM * DIM,))[..., _COFACTOR_TERMS]
-    cof = terms[..., 0, :, :] * terms[..., 1, :, :] - terms[..., 2, :, :] * terms[..., 3, :, :]
+    flat = a.reshape(a.shape[:-2] + (DIM * DIM,))
+    p, q, r, s = _COFACTOR_TERMS
+    # one factor gathered at a time keeps a stack's temporaries to four copies
+    cof = flat[..., p] * flat[..., q] - flat[..., r] * flat[..., s]
     return cof, np.sum(a[..., 0, :] * cof[..., 0, :], axis=-1)
 
 
