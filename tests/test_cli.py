@@ -92,7 +92,9 @@ def test_unwritable_identities_out_fails_before_the_suite(tmp_path, monkeypatch,
 def test_identities_output_is_pinned(tmp_path):
     # bytes recorded from the transpose-and-matmul products and the cofactor
     # inverses; only the last bits of some max_abs_err values moved from the
-    # einsum kernels before them (a deliberate re-pin, listed in CHANGES.md)
+    # einsum kernels before them (a deliberate re-pin, listed in CHANGES.md).
+    # Recorded with OpenBLAS's AVX-512 kernels: its AVX2 kernels sum the
+    # nine-term contractions in another grouping and change some last bits.
     out = tmp_path / "r.json"
     assert main(["identities", "--seed", "42", "--trials", "200", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "identities_seed42_trials200.json").read_bytes()
