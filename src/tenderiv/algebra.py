@@ -9,7 +9,7 @@ The products ``dot``, ``ddot_seq``, ``ddot_cross``, ``ddot_pos``, ``outer``,
 ``box`` and ``boxhat`` (one row of ``SUBSCRIPTS`` per rank pair) and the
 positional products (one row per slot) are all evaluated by ``product``, on
 single tensors or stacks (leading batch axes, one trial per item), each as
-one matrix product planned from its row.  The three double contractions
+elementwise products summed in a fixed order.  The three double contractions
 differ only in how they pair the inner basis vectors of their operands:
 
 * ``ddot_seq``: nested pairing, nearest basis vectors first;
@@ -21,7 +21,6 @@ differ only in how they pair the inner basis vectors of their operands:
 All functions are pure and never mutate their arguments.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -87,49 +86,65 @@ SUBSCRIPTS = {
 
 
 def _plan(subscripts):
-    """A SUBSCRIPTS row as the matrix product of x as (Fx, C) by y as (C, Fy).
+    """A row as x * y summed over the contracted labels C, both laid out as C + result.
 
-    C holds the contracted labels, Fx and Fy the free ones of x and y.  Gives
-    (axis order, matrix shape) of x and y and (axis order, shape) from (Fx, Fy)
-    to the result; an identity order is None, and its transpose is skipped.
+    Gives, for x and for y, the flat item index of each entry of the layout
+    (1 long on the result labels the operand lacks), and |C|.
     """
     operands, out = subscripts.split("->")
     x, y = operands.split(",")
-    # in their order in the larger operand: a transpose they need falls on the smaller
-    contracted = [c for c in max(x, y, key=len) if c in x and c in y]
-    fx, fy = [c for c in x if c in out], [c for c in y if c in out]
-    orders = [tuple(source.index(c) for c in labels)
-              for labels, source in ((fx + contracted, x), (contracted + fy, y), (out, fx + fy))]
-    x_order, y_order, out_order = [None if o == tuple(range(len(o))) else o for o in orders]
-    k = DIM ** len(contracted)
-    return ((x_order, (DIM ** len(fx), k)), (y_order, (k, DIM ** len(fy))),
-            (out_order, (DIM,) * len(out)))
+    layout = [c for c in x if c in y] + list(out)
+    indices = []
+    for a in (x, y):
+        axes = np.indices([DIM if c in a else 1 for c in layout])
+        indices.append(sum(DIM ** (len(a) - 1 - a.index(c)) * axis
+                           for c, axis in zip(layout, axes) if c in a))
+    return (*indices, len(layout) - len(out))
 
 
 _PLANS = {key: _plan(s) for key, s in SUBSCRIPTS.items()}
 
 
-@lru_cache(maxsize=None)
-def _axes(order, batch):
-    return (*range(batch), *(batch + i for i in order))
+def _terms(a, index, rank, batch):
+    """The entries ``index`` picks from each item of a, ahead of its ``batch`` batch axes."""
+    b = a.shape[:a.ndim - rank]
+    if not batch:
+        return a.take(index)
+    # items flattened along the first axis, so that the batch axes come last
+    a = a.reshape(-1, DIM ** rank).T[index] if b else a.take(index)
+    return a.reshape(index.shape + (1,) * (batch - len(b)) + b)
 
 
-def _permuted(a, order, rank):
-    """a with its trailing ``rank`` axes in ``order``; the leading axes stay in place."""
-    return a if order is None else a.transpose(_axes(order, a.ndim - rank))
+def _summed(x, y, n):
+    """The sum of x * y over their n leading axes, (t0 + t1) + t2 each, the last outermost.
+
+    Large products split along the last of them: whole, the terms of two
+    128-item fourth-rank stacks take 750 kB, which cost page faults per call.
+    """
+    if n and x.size + y.size > 4096:
+        at = (slice(None),) * (n - 1)
+        out = _summed(x[at + (0,)], y[at + (0,)], n - 1)
+        for i in (1, 2):
+            out += _summed(x[at + (i,)], y[at + (i,)], n - 1)
+        return out
+    out = x * y
+    for _ in range(n):
+        out = out[0] + out[1] + out[2]
+    return out
 
 
 def product(op, x, y, ranks=None):
-    """Evaluate the product ``op`` by its SUBSCRIPTS row, as one matrix product.
+    """Evaluate the product ``op`` by its SUBSCRIPTS row.
 
     With ``ranks = (rank_x, rank_y)`` the trailing rank_x (rank_y) axes of
     x (y) hold one tensor and any leading axes are batch axes, which
     broadcast and are kept in the result.  Ranks are passed, never inferred:
     a (3, 3, 3, 3) array is a fourth-rank tensor and a 3x3 stack of
     second-rank ones alike.  Without ``ranks`` the operands are single
-    tensors, ``ranks = (x.ndim, y.ndim)``.  A scalar result is a float.  The
-    operands are made contiguous in the row's order first, so a batched product
-    equals the stack of single products bit for bit, whatever their strides.
+    tensors, ``ranks = (x.ndim, y.ndim)``.  A scalar result is a float.
+    No BLAS call sums the terms (see _summed): the bits do not depend on the
+    CPU, and a batched product equals the stack of single products bit for
+    bit, whatever the operands' strides.
 
     Raises RankError when the table has no row for the operand ranks or when
     an operand axis does not have length 3.
@@ -141,10 +156,11 @@ def product(op, x, y, ranks=None):
     if plan is None or x.shape[-rx:] != (DIM,) * rx or y.shape[-ry:] != (DIM,) * ry:
         raise RankError(f"{op}: unsupported operand shapes {x.shape} and {y.shape} "
                         f"for ranks {ranks}")
-    (x_order, x_shape), (y_order, y_shape), (out_order, out_shape) = plan
-    out = (np.ascontiguousarray(_permuted(x, x_order, rx)).reshape(x.shape[:-rx] + x_shape)
-           @ np.ascontiguousarray(_permuted(y, y_order, ry)).reshape(y.shape[:-ry] + y_shape))
-    out = _permuted(out.reshape(out.shape[:-2] + out_shape), out_order, len(out_shape))
+    x_index, y_index, contracted = plan
+    batch = max(x.ndim - rx, y.ndim - ry)
+    out = _summed(_terms(x, x_index, rx, batch), _terms(y, y_index, ry, batch), contracted)
+    if batch:  # the batch axes, innermost until now, back in front
+        out = out.transpose((*range(out.ndim - batch, out.ndim), *range(out.ndim - batch)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -289,14 +305,23 @@ _COFACTOR_TERMS = np.array([[[DIM * ((i + di) % DIM) + (j + dj) % DIM for j in r
                              for i in range(DIM)] for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))])
 
 
-def cofactors(a):
-    """Cofactors and determinant (expanded along row 0) of one tensor or of each in a stack."""
+def inverse_det(a):
+    """Inverse and determinant (along row 0) of a second-rank tensor or of each in a stack.
+
+    From the cofactors of a / 2^e, 2^e just above the item's largest |entry|:
+    exact, and the inverse is right wherever np.linalg.inv is (a det past the
+    float range is inf).  A singular item's inverse is not finite.
+    """
     a = np.asarray(a, dtype=float)
-    flat = a.reshape(a.shape[:-2] + (DIM * DIM,))
-    p, q, r, s = _COFACTOR_TERMS
-    # one factor gathered at a time keeps a stack's temporaries to four copies
-    cof = flat[..., p] * flat[..., q] - flat[..., r] * flat[..., s]
-    return cof, np.sum(a[..., 0, :] * cof[..., 0, :], axis=-1)
+    e = np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))[1]
+    flat = np.ldexp(a, -e).reshape(a.shape[:-2] + (DIM * DIM,))
+    p, q, r, t = _COFACTOR_TERMS
+    with np.errstate(all="ignore"):
+        # one factor gathered at a time keeps a stack's temporaries to four copies
+        cof = flat[..., p] * flat[..., q] - flat[..., r] * flat[..., t]
+        det = (flat[..., :DIM] * cof[..., 0, :]).sum(axis=-1)
+        return (np.ldexp(transpose2(cof) / det[..., None, None], -e),
+                np.ldexp(det, 3 * e[..., 0, 0]))
 
 
 def inverse2(a):
@@ -305,11 +330,11 @@ def inverse2(a):
     Raises SingularTensorError, carrying the first offending determinant, when
     any |det| < DET_FLOOR.
     """
-    cof, det = cofactors(a)
+    inverse, det = inverse_det(a)
     singular = np.flatnonzero(np.abs(det) < DET_FLOOR)
     if singular.size:
         raise SingularTensorError(det.flat[singular[0]])
-    return transpose2(cof) / det[..., None, None]
+    return inverse
 
 
 def matpow(a, n):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import DET_FLOOR, DIM, cofactors, maxabs
+from .algebra import DET_FLOOR, DIM, inverse_det, maxabs
 from .reporting import CheckReport
 
 
@@ -46,7 +46,7 @@ def make_basis(v1, v2, v3):
     """Build a basis from three frame vectors.
 
     The reciprocal vectors are the rows of the inverse-transposed frame
-    matrix (cofactors / triple product): r_i . r^j = d_i^j up to rounding.
+    matrix, which enforces r_i . r^j = d_i^j exactly up to rounding.
 
     Raises DegenerateFrameError when the triple product of the frame is
     smaller than DET_FLOOR in magnitude, the floor below which inverse2
@@ -55,10 +55,10 @@ def make_basis(v1, v2, v3):
     frame = np.array([v1, v2, v3], dtype=float)
     if frame.shape != (DIM, DIM) or not np.all(np.isfinite(frame)):
         raise ValueError("make_basis: expected three finite 3-vectors")
-    cof, triple = cofactors(frame)
+    inverse, triple = inverse_det(frame)
     if abs(triple) < DET_FLOOR:
         raise DegenerateFrameError(triple)
-    reciprocal = cof / triple
+    reciprocal = inverse.T
     return Basis(
         frame=frame,
         reciprocal=reciprocal,

@@ -26,10 +26,10 @@ import numpy as np
 from .algebra import (
     DET_FLOOR,
     DIM,
-    cofactors,
     ddot_seq,
     ident2,
     inverse2,
+    inverse_det,
     invariants,
     matpow,
     maxabs,
@@ -234,6 +234,10 @@ def linearization_check(fn, a, delta):
 # Catalog
 # ---------------------------------------------------------------------------
 
+def _invertible(a):
+    return np.abs(inverse_det(a)[1]) >= DET_FLOOR
+
+
 def catalog():
     """All named functions with analytic derivatives, keyed by CLI name."""
     entries = [
@@ -249,8 +253,7 @@ def catalog():
                        lambda a: d_power(2, a)),
         TensorFunction("cube", "tensor", lambda a: matpow(a, 3),
                        lambda a: d_power(3, a)),
-        TensorFunction("inverse", "tensor", inverse2, d_inverse,
-                       guard=lambda a: np.abs(cofactors(a)[1]) >= DET_FLOOR),
+        TensorFunction("inverse", "tensor", inverse2, d_inverse, guard=_invertible),
     ]
     for n in (2, 3, 4):
         entries.append(

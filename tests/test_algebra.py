@@ -8,7 +8,6 @@ from tenderiv.algebra import (
     SingularTensorError,
     box,
     boxhat,
-    cofactors,
     ddot_cross,
     ddot_pos,
     ddot_seq,
@@ -16,6 +15,7 @@ from tenderiv.algebra import (
     hamilton_cayley_residual,
     ident2,
     inverse2,
+    inverse_det,
     invariants,
     matpow,
     outer,
@@ -281,19 +281,38 @@ def test_inverse2():
     assert err.value.det == 0.0
 
 
-def test_cofactors_match_linalg_on_well_conditioned_stacks():
+def test_inverse_det_matches_linalg_on_well_conditioned_stacks():
     rng = trial_rng(112, 0)
     stack = np.eye(3) + 0.3 * rng.uniform(-1.0, 1.0, (256, 3, 3))
-    cof, det = cofactors(stack)
+    inverse, det = inverse_det(stack)
     assert det.shape == (256,)
     assert maxabs(det - np.linalg.det(stack)) <= 1e-14
-    assert maxabs(inverse2(stack) - np.linalg.inv(stack)) <= 1e-14
-    assert maxabs(cof - np.linalg.inv(stack).swapaxes(-1, -2) * det[:, None, None]) <= 1e-14
+    assert maxabs(inverse - np.linalg.inv(stack)) <= 1e-14
+    assert np.array_equal(inverse2(stack), inverse)
     # a single tensor gives the same bits as its item of the stack
     for t in (0, 17, 255):
-        single_cof, single_det = cofactors(stack[t])
-        assert np.array_equal(single_cof, cof[t]) and single_det == det[t]
-        assert np.array_equal(inverse2(stack[t]), inverse2(stack)[t])
+        single_inverse, single_det = inverse_det(stack[t])
+        assert np.array_equal(single_inverse, inverse[t]) and single_det == det[t]
+        assert np.array_equal(inverse2(stack[t]), inverse[t])
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e110, 1e160])
+def test_inverse_det_has_the_range_of_linalg(scale):
+    stack = scale * (np.eye(3) + 0.3 * trial_rng(114, 0).uniform(-1.0, 1.0, (16, 3, 3)))
+    inverse, det = inverse_det(stack)
+    want = np.linalg.inv(stack)
+    assert maxabs(inverse - want) <= 1e-14 * maxabs(want)
+    with np.errstate(over="ignore"):
+        want_det = np.linalg.det(stack)
+    # past the float range both are inf
+    assert np.array_equal(np.isinf(det), np.isinf(want_det))
+    finite = np.isfinite(want_det)
+    assert np.all(np.abs(det[finite] - want_det[finite]) <= 1e-13 * np.abs(want_det[finite]))
+    if scale > 1.0:
+        assert np.array_equal(inverse2(stack), inverse)
+    else:  # det about 1e-300, below the absolute floor
+        with pytest.raises(SingularTensorError):
+            inverse2(stack)
 
 
 def test_inverse2_reports_the_first_singular_item():
@@ -303,7 +322,7 @@ def test_inverse2_reports_the_first_singular_item():
     with pytest.raises(SingularTensorError) as err:
         inverse2(stack)
     assert err.value.det == 0.0
-    assert cofactors(stack)[1][4] == pytest.approx(1e-9)
+    assert inverse_det(stack)[1][4] == pytest.approx(1e-9)
     with pytest.raises(SingularTensorError) as err:
         inverse2(stack[3:])
     assert err.value.det == pytest.approx(1e-9)

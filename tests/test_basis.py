@@ -49,7 +49,16 @@ def test_reciprocal_frame_and_triple_product_match_linalg():
         b = make_basis(*frame)
         assert maxabs(b.reciprocal - np.linalg.inv(frame).T) <= 1e-14
         triple = np.dot(frame[0], np.cross(frame[1], frame[2]))
-        assert abs(algebra.cofactors(frame)[1] - triple) <= 1e-14
+        assert abs(algebra.inverse_det(frame)[1] - triple) <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1e110, 1e160])
+def test_reciprocal_frame_of_a_huge_frame_matches_linalg(scale):
+    frame = scale * random_frame(trial_rng(202, 0))
+    with np.errstate(over="ignore"):  # g_lo = frame frame^T is past the float range at 1e160
+        b = make_basis(*frame)
+    want = np.linalg.inv(frame).T
+    assert maxabs(b.reciprocal - want) <= 1e-14 * maxabs(want)
 
 
 def test_duality_and_metric_inversion():

@@ -90,11 +90,11 @@ def test_unwritable_identities_out_fails_before_the_suite(tmp_path, monkeypatch,
 
 
 def test_identities_output_is_pinned(tmp_path):
-    # bytes recorded from the transpose-and-matmul products and the cofactor
-    # inverses; only the last bits of some max_abs_err values moved from the
-    # einsum kernels before them (a deliberate re-pin, listed in CHANGES.md).
-    # Recorded with OpenBLAS's AVX-512 kernels: its AVX2 kernels sum the
-    # nine-term contractions in another grouping and change some last bits.
+    # bytes recorded from the products summed elementwise in a fixed order and
+    # the cofactor inverses; only the last bits of some max_abs_err values
+    # moved from the einsum kernels before them (a deliberate re-pin, listed
+    # in CHANGES.md).  No product sums through BLAS, so OpenBLAS's AVX2 and
+    # AVX-512 kernels give these same bytes.
     out = tmp_path / "r.json"
     assert main(["identities", "--seed", "42", "--trials", "200", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "identities_seed42_trials200.json").read_bytes()
@@ -183,6 +183,18 @@ def test_convert_parse_errors(tmp_path, capsys):
 
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
+
+
+def test_deriv_of_the_inverse_at_huge_entries(tmp_path, capsys):
+    # det is about 8e330, past the float range: the inverse must stay right
+    d = np.array([1e110, 2e110, 4e110])
+    at = write(tmp_path / "huge.json", matrix_obj(np.diag(d)))
+    assert main(["deriv", "--fn", "inverse", "--at", at, "--fd-check"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    b = np.diag(1.0 / d)
+    want = -np.einsum("ik,pj->ijkp", b, b)  # d(A^-1)_ij / dA_kp
+    assert np.max(np.abs(parse_tensor4(out["derivative"]) - want)) <= 1e-14 * np.max(np.abs(want))
+    assert out["fd_max_abs_err"] <= 1e-6 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("fn", ["cube", "I3", "square"])
