@@ -55,14 +55,20 @@ def uniform_tensors(rng, n, *ranks):
 
 
 def orthogonal_tensors(rng, n):
-    """n orthogonal tensors from the QR factorizations of random matrices.
+    """n orthogonal tensors: the columns of random matrices orthonormalized in order.
 
-    The determinant sign is left as drawn, so both proper and improper
-    orthogonal tensors occur.
+    Gram-Schmidt gives the Q of a QR factorization with a positive diagonal
+    of R, in elementwise steps whose rounding no LAPACK or BLAS kernel
+    decides.  The determinant sign is left as drawn, so both proper and
+    improper orthogonal tensors occur.
     """
-    q, r = np.linalg.qr(rng.standard_normal((n, DIM, DIM)))
-    # Fix the factorization's sign ambiguity so the draw is unambiguous.
-    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    q = rng.standard_normal((n, DIM, DIM))
+    for j in range(DIM):
+        v = q[..., j]
+        for i in [*range(j)] * 2:  # twice: orthogonal to rounding (Kahan, Parlett)
+            v = v - (q[..., i] * v).sum(axis=-1, keepdims=True) * q[..., i]
+        q[..., j] = v / np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    return q
 
 
 def near_identity(u):

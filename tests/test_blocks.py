@@ -117,8 +117,11 @@ def ref_role_seq_i_right(rng):
 
 
 def ref_rotation_ii(rng):
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q * np.sign(np.diag(r))
+    q = rng.standard_normal((3, 3))
+    for j in range(3):  # the columns orthonormalized in order, each pass made twice
+        for i in [*range(j)] * 2:
+            q[:, j] = q[:, j] - np.sum(q[:, i] * q[:, j]) * q[:, i]
+        q[:, j] = q[:, j] / np.sqrt(np.sum(q[:, j] * q[:, j]))
     return max(maxabs(rotate4(C2, q) - C2), maxabs(q @ I @ q.T - I))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 import tenderiv.bridge
 from tenderiv.bridge import check_seq_transposers, convention_row_check
-from tenderiv.rng import report_rng, report_substream, trial_rng
+from tenderiv.rng import orthogonal_tensors, report_rng, report_substream, trial_rng
 
 EXPECTED_REPORTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected_reports.json"
 
@@ -43,3 +43,13 @@ def test_reports_draw_different_operands(monkeypatch):
     check_seq_transposers(seed=5, trials=1)
     assert row_draw.shape == first_draws[0].shape == (3, 3, 3, 3)
     assert not np.array_equal(row_draw, first_draws[0])
+
+
+def test_orthogonal_tensors_are_the_q_of_a_positive_diagonal_qr():
+    q = orthogonal_tensors(trial_rng(31, 0), 1000)
+    a = trial_rng(31, 0).standard_normal((1000, 3, 3))
+    want, r = np.linalg.qr(a)
+    want = want * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    # the same tensors up to the rounding of an ill-conditioned draw
+    assert np.max(np.abs(q - want)) <= 1e-12
+    assert np.max(np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(3))) <= 1e-15
