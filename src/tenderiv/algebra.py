@@ -221,10 +221,13 @@ def transpose4(m, kind):
     return np.asarray(m).swapaxes(*slots)
 
 
+_OPS = {op for op, _ in SUBSCRIPTS}
+
+
 def _slot_op(op, n):
     """The SUBSCRIPTS operation of the positional product ``op`` at slot n."""
-    slots = [key[len(op):] for key, _ in SUBSCRIPTS if key[:-1] == op]
-    if str(n) not in slots:
+    if op + str(n) not in _OPS:
+        slots = sorted(key[len(op):] for key in _OPS if key[:-1] == op)
         raise ValueError(f"{op}: slot must be one of {', '.join(slots)}, got {n!r}")
     return op + str(n)
 
