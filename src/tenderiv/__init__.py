@@ -21,7 +21,6 @@ from .algebra import (
     ddot_pos,
     ddot_seq,
     dot,
-    hamilton_cayley_residual,
     ident2,
     inverse2,
     invariants,
@@ -59,8 +58,6 @@ from .calculus import (
     d_transpose,
     fd_scalar_derivative,
     fd_tensor_derivative,
-    gato_derivative,
-    linearization_check,
     product_rule_dot,
     product_rule_scalar_tensor,
 )

@@ -37,11 +37,12 @@ class RankError(ValueError):
 
 
 class SingularTensorError(ValueError):
-    """Second-rank tensor is singular (or nearly so) where an inverse is required."""
+    """A second-rank tensor (item ``index`` of a stack) is singular where an inverse is needed."""
 
-    def __init__(self, det):
+    def __init__(self, det, index):
         super().__init__(f"tensor is numerically singular: det = {det:.3e}")
         self.det = float(det)
+        self.index = int(index)
 
 
 def ident2():
@@ -294,10 +295,10 @@ def invariants(a):
     i1 = tr A, i2 = (i1^2 - tr A^2)/2, i3 = (tr A^3 - i1 tr A^2 + i2 i1)/3.
     """
     a = np.asarray(a, dtype=float)
-    a2 = a @ a
+    a2 = product("dot", a, a, (2, 2))
     t1 = trace(a)
     t2 = trace(a2)
-    t3 = trace(a2 @ a)
+    t3 = trace(product("dot", a2, a, (2, 2)))
     i2 = 0.5 * (t1 * t1 - t2)
     i3 = (t3 - t1 * t2 + i2 * t1) / 3.0
     return Invariants(t1, i2, i3)
@@ -311,32 +312,32 @@ _COFACTOR_TERMS = np.array([[[DIM * ((i + di) % DIM) + (j + dj) % DIM for j in r
 def inverse_det(a):
     """Inverse and determinant (along row 0) of a second-rank tensor or of each in a stack.
 
-    From the cofactors of a / 2^e, 2^e just above the item's largest |entry|:
-    exact, and the inverse is right wherever np.linalg.inv is (a det past the
-    float range is inf).  A singular item's inverse is not finite.
+    From the cofactors of a with each row divided by 2^e, 2^e just above the
+    row's largest |entry|: exact, and right wherever np.linalg.inv is (a det
+    past the float range is inf).  A singular item's inverse is not finite.
     """
     a = np.asarray(a, dtype=float)
-    e = np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))[1]
+    e = np.frexp(np.abs(a).max(axis=-1, keepdims=True))[1]
     flat = np.ldexp(a, -e).reshape(a.shape[:-2] + (DIM * DIM,))
     p, q, r, t = _COFACTOR_TERMS
     with np.errstate(all="ignore"):
         # one factor gathered at a time keeps a stack's temporaries to four copies
         cof = flat[..., p] * flat[..., q] - flat[..., r] * flat[..., t]
         det = (flat[..., :DIM] * cof[..., 0, :]).sum(axis=-1)
-        return (np.ldexp(transpose2(cof) / det[..., None, None], -e),
-                np.ldexp(det, 3 * e[..., 0, 0]))
+        return (np.ldexp(transpose2(cof) / det[..., None, None], -transpose2(e)),
+                np.ldexp(det, e.sum(axis=(-2, -1))))
 
 
 def inverse2(a):
     """Inverse of a second-rank tensor, or of each one in a stack, from its cofactors.
 
-    Raises SingularTensorError, carrying the first offending determinant, when
-    any |det| < DET_FLOOR.
+    Raises SingularTensorError, carrying the first offending determinant and
+    its item index, when any |det| < DET_FLOOR.
     """
     inverse, det = inverse_det(a)
     singular = np.flatnonzero(np.abs(det) < DET_FLOOR)
     if singular.size:
-        raise SingularTensorError(det.flat[singular[0]])
+        raise SingularTensorError(det.flat[singular[0]], singular[0])
     return inverse
 
 
@@ -344,12 +345,9 @@ def matpow(a, n):
     """Non-negative integer power under the single contraction; a**0 is the unit tensor."""
     if n < 0 or int(n) != n:
         raise ValueError(f"matpow: exponent must be a non-negative integer, got {n}")
-    return np.linalg.matrix_power(np.asarray(a, dtype=float), int(n))
-
-
-def hamilton_cayley_residual(a):
-    """A^3 - i1 A^2 + i2 A - i3 I; the zero tensor up to rounding."""
     a = np.asarray(a, dtype=float)
-    i1, i2, i3 = invariants(a)
-    a2 = a @ a
-    return a2 @ a - i1 * a2 + i2 * a - i3 * np.eye(DIM)
+    # a copy of a, not I . a: 0 * inf would turn an overflowed entry into NaN
+    out = a.copy() if n else np.broadcast_to(ident2(), a.shape).copy()
+    for _ in range(int(n) - 1):
+        out = product("dot", out, a, (2, 2))
+    return out

@@ -11,28 +11,24 @@ of the outer derivative with the inner one, ``ddot_cross(dphi_da, da_ds)``.
 The finite-difference functions are deliberately independent of the analytic
 rules: they probe the evaluator componentwise with central differences and
 serve as the oracle the analytic catalog is checked against.  The step for
-component (k, p) is h = FD_STEP * max(1, |A[k,p]|); the directional
-derivative steps by FD_STEP along its direction.  The componentwise
+component (k, p) is h = FD_STEP * max(1, |A[k,p]|).  The componentwise
 derivatives, the catalog evaluators and the analytic rules d_power,
 d_inverse, product_rule_dot and product_rule_scalar_tensor also take a stack
 of arguments along leading axes, one trial per item.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .algebra import (
-    DET_FLOOR,
     DIM,
-    ddot_seq,
+    SingularTensorError,
     ident2,
     inverse2,
-    inverse_det,
     invariants,
     matpow,
-    maxabs,
     pos_dot,
     product,
     trace,
@@ -55,25 +51,19 @@ class TensorFunction:
 
     ``kind`` is 'scalar' or 'tensor'.  ``deriv`` returns the trailing-layout
     derivative (second rank for scalar functions, fourth rank for tensor
-    functions).  ``guard`` restricts the domain; it must also hold at every
-    finite-difference probe point.  ``func`` and ``guard`` take one argument
-    or a stack of arguments along leading axes and answer item by item: the
-    finite differences hand them all of their probes as one stack.
+    functions).  ``func`` takes one argument or a stack of arguments along
+    leading axes and answers item by item: the finite differences hand it a
+    whole stencil as one stack.  It raises SingularTensorError outside its
+    domain.
     """
 
     name: str
     kind: str
     func: Callable[[np.ndarray], object]
     deriv: Callable[[np.ndarray], np.ndarray]
-    guard: Optional[Callable[[np.ndarray], bool]] = field(default=None)
-
-    def in_domain(self, a):
-        return self.guard is None or bool(self.guard(a))
 
 
-def _require_domain(fn, a, what):
-    if not fn.in_domain(a):
-        raise DomainError(f"{fn.name}: domain guard fails at {what}")
+_STENCIL = 1 + 2 * DIM * DIM
 
 
 def _stencil_point(j):
@@ -87,29 +77,28 @@ def _stencil_point(j):
 def _central_differences(fn, a, value_shape):
     """Central difference over each argument component, written to out[..., k, p].
 
-    a is one argument or a stack of them.  The 18 probes of every argument go
-    through one call of fn.func.  The domain guard must hold at every base
-    point and probe; the first failure, in trial order and then stencil
-    order, is reported.
+    a is one argument or a stack of them.  The stencil of every argument, the
+    base point and then its 18 probes, goes through one call of fn.func; a
+    SingularTensorError there is a DomainError naming the first singular
+    point, in trial order and then stencil order.
     """
     a = np.asarray(a, dtype=float)
     batch = a.shape[:-2]
     h = FD_STEP * np.maximum(1.0, np.abs(a))
+    stencil = np.broadcast_to(a[..., None, :, :], batch + (_STENCIL, DIM, DIM)).copy()
     # probes[..., k, p, s] is a with component (k, p) moved by +h (s = 0) or -h (s = 1)
-    probes = np.broadcast_to(a[..., None, None, None, :, :], batch + (DIM, DIM, 2, DIM, DIM)).copy()
+    probes = stencil[..., 1:, :, :].reshape(batch + (DIM, DIM, 2, DIM, DIM))
     for k in range(DIM):
         for p in range(DIM):
             probes[..., k, p, 0, k, p] = a[..., k, p] + h[..., k, p]
             probes[..., k, p, 1, k, p] = a[..., k, p] - h[..., k, p]
-    if fn.guard is not None:
-        stencil_ok = np.concatenate([np.reshape(fn.guard(a), batch + (1,)),
-                                     np.reshape(fn.guard(probes), batch + (2 * DIM * DIM,))],
-                                    axis=-1)
-        if not np.all(stencil_ok):
-            first = int(np.flatnonzero(~stencil_ok)[0]) % stencil_ok.shape[-1]
-            raise DomainError(f"{fn.name}: domain guard fails at {_stencil_point(first)}")
-    values = np.reshape(fn.func(probes.reshape((-1, DIM, DIM))),
-                        batch + (DIM, DIM, 2) + value_shape)
+    try:
+        values = fn.func(stencil.reshape((-1, DIM, DIM)))
+    except SingularTensorError as exc:
+        raise DomainError(f"{fn.name}: domain guard fails at "
+                          f"{_stencil_point(exc.index % _STENCIL)}") from None
+    values = np.reshape(values, (-1, _STENCIL) + value_shape)[:, 1:]
+    values = values.reshape(batch + (DIM, DIM, 2) + value_shape)
     plus, minus = np.moveaxis(values, len(batch) + 2, 0)
     out = (plus - minus) / (2.0 * h.reshape(h.shape + (1,) * len(value_shape)))
     return np.ascontiguousarray(np.moveaxis(out, (len(batch), len(batch) + 1), (-2, -1)))
@@ -129,31 +118,9 @@ def fd_tensor_derivative(fn, a):
     return _central_differences(fn, a, (DIM, DIM))
 
 
-def gato_derivative(fn, a, direction):
-    """Directional derivative d/ds fn(a + s * direction) at s = 0.
-
-    For a scalar entry this equals ddot_cross(deriv(a), direction); for a
-    tensor entry it equals ddot_seq(deriv(a), direction^T).
-    """
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    h = FD_STEP
-    ap, am = a + h * d, a - h * d
-    _require_domain(fn, a, "the base point")
-    _require_domain(fn, ap, "probe (+h) along the direction")
-    _require_domain(fn, am, "probe (-h) along the direction")
-    return (fn.func(ap) - fn.func(am)) / (2.0 * h)
-
-
 # ---------------------------------------------------------------------------
 # Analytic rules
 # ---------------------------------------------------------------------------
-
-def d_invariant_3_compact(a):
-    """d(det A)/dA as det(A) A^-T; requires an invertible argument."""
-    _, _, i3 = invariants(a)
-    return i3 * transpose2(inverse2(a))
-
 
 def d_invariant(k, a):
     """Derivative of the k-th principal invariant, k in {1, 2, 3}.
@@ -215,28 +182,9 @@ def product_rule_scalar_tensor(lam, dpsi_ds, psi, dlam_ds):
     return product("outer", lam, dpsi_ds, (2, 2)) + psi * np.asarray(dlam_ds, dtype=float)
 
 
-def linearization_check(fn, a, delta):
-    """First-order remainder |F(A + d) - F(A) - deriv : d^T|, max-abs entry.
-
-    For twice-differentiable F the remainder is O(|d|^2): halving |d| divides
-    it by about four.
-    """
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(delta, dtype=float)
-    _require_domain(fn, a, "the base point")
-    _require_domain(fn, a + d, "the displaced point")
-    predicted = ddot_seq(fn.deriv(a), transpose2(d))
-    residual = fn.func(a + d) - fn.func(a) - predicted
-    return maxabs(residual)
-
-
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
-
-def _invertible(a):
-    return np.abs(inverse_det(a)[1]) >= DET_FLOOR
-
 
 def catalog():
     """All named functions with analytic derivatives, keyed by CLI name."""
@@ -253,7 +201,7 @@ def catalog():
                        lambda a: d_power(2, a)),
         TensorFunction("cube", "tensor", lambda a: matpow(a, 3),
                        lambda a: d_power(3, a)),
-        TensorFunction("inverse", "tensor", inverse2, d_inverse, guard=_invertible),
+        TensorFunction("inverse", "tensor", inverse2, d_inverse),
     ]
     for n in (2, 3, 4):
         entries.append(

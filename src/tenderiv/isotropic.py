@@ -98,9 +98,9 @@ def rotation_error(kind, q):
     q must be orthogonal to 1e-10; for a stack, every item must be.
     """
     q = np.asarray(q, dtype=float)
-    ortho_defect = maxabs(transpose2(q) @ q - np.eye(3), 2)
+    ortho_defect = maxabs(product("dot", transpose2(q), q, (2, 2)) - _EYE, 2)
     if not np.all(ortho_defect <= 1e-10):
         raise ValueError(f"q is not orthogonal (defect {np.max(ortho_defect):.3e})")
     c = iso_tensor(kind)
-    return np.maximum(maxabs(rotate4(c, q) - c, 4),
-                      maxabs(q @ np.eye(3) @ transpose2(q) - np.eye(3), 2))
+    q_eye_qt = product("dot", q, transpose2(q), (2, 2))  # q . I is q exactly
+    return np.maximum(maxabs(rotate4(c, q) - c, 4), maxabs(q_eye_qt - _EYE, 2))

@@ -100,6 +100,11 @@ def _as_array(data, shape, what):
         raise SerializeError(f"{what}: not a numeric array ({exc})") from None
     if arr.shape != shape:
         raise SerializeError(f"{what}: expected shape {shape}, got {arr.shape}")
+    entries = [data]
+    for _ in shape:  # numpy also reads "9" and true as numbers: check the JSON values
+        entries = [v for row in entries for v in row]
+    if not all(type(v) in (int, float) for v in entries):
+        raise SerializeError(f"{what}: not a numeric array (entries must be JSON numbers)")
     if not np.all(np.isfinite(arr)):
         raise SerializeError(f"{what}: non-finite entries")
     return arr

@@ -1,10 +1,13 @@
-"""Brute-force index oracles and one-trial reference samplers.
+"""Brute-force index oracles, plain-numpy checks and one-trial reference samplers.
 
 The oracles re-derive each operation directly from its index formula with
 explicit Python loops and no shared code with the package, so a test
-comparing the two paths is a genuine dual-route check.  The samplers draw one
-tensor per call with plain numpy; the package's block draws must give the
-same numbers trial by trial.
+comparing the two paths is a genuine dual-route check.  The checks at the end
+(directional derivative, linearization remainder, compact determinant
+derivative, characteristic polynomial) are written in plain numpy and take
+the package's results only as inputs.  The samplers draw one tensor per call
+with plain numpy; the package's block draws must give the same numbers trial
+by trial.
 """
 
 import itertools
@@ -217,3 +220,33 @@ def rotate4_oracle(c, q):
             acc += q[i, p] * q[j, r] * q[k, s] * q[l, t] * c[p, r, s, t]
         out[i, j, k, l] = acc
     return out
+
+
+def gato_derivative(fn, a, direction):
+    """Directional derivative d/ds fn.func(a + s * direction) at s = 0, step 1e-5.
+
+    For a scalar entry this equals ddot_cross(deriv(a), direction); for a
+    tensor entry it equals ddot_seq(deriv(a), direction^T).
+    """
+    return (fn.func(a + 1e-5 * direction) - fn.func(a - 1e-5 * direction)) / 2e-5
+
+
+def linearization_check(fn, a, delta):
+    """First-order remainder |F(A + d) - F(A) - sum_kp deriv[..., k, p] d[k, p]|, max-abs entry.
+
+    For twice-differentiable F the remainder is O(|d|^2): halving |d| divides
+    it by about four.
+    """
+    predicted = np.tensordot(fn.deriv(a), delta, axes=2)
+    return float(np.max(np.abs(fn.func(a + delta) - fn.func(a) - predicted)))
+
+
+def d_invariant_3_compact(a):
+    """d(det A)/dA as det(A) A^-T; requires an invertible argument."""
+    return np.linalg.det(a) * np.linalg.inv(a).T
+
+
+def hamilton_cayley_residual(a, i1, i2, i3):
+    """A^3 - i1 A^2 + i2 A - i3 I: zero up to rounding when i1..i3 are A's invariants."""
+    a2 = a @ a
+    return a2 @ a - i1 * a2 + i2 * a - i3 * np.eye(3)

@@ -12,7 +12,6 @@ from tenderiv.algebra import (
     ddot_pos,
     ddot_seq,
     dot,
-    hamilton_cayley_residual,
     ident2,
     inverse2,
     inverse_det,
@@ -29,7 +28,7 @@ from tenderiv.isotropic import iso_tensor
 from tenderiv.rng import trial_rng
 
 import oracles
-from oracles import one_hot2, one_hot4, random_ten2, random_ten4
+from oracles import hamilton_cayley_residual, one_hot2, one_hot4, random_ten2, random_ten4
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])
@@ -296,7 +295,10 @@ def test_inverse_det_matches_linalg_on_well_conditioned_stacks():
         assert np.array_equal(inverse2(stack[t]), inverse[t])
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e110, 1e160])
+# a scale per row: the wide stack's rows differ by 1e260, so scaling each
+# item by one power of two would underflow the cofactors of row 0
+@pytest.mark.parametrize("scale", [1e-100, 1e110, 1e160, np.array([[1e160], [1.0], [1e-100]])],
+                         ids=["1e-100", "1e+110", "1e+160", "wide"])
 def test_inverse_det_has_the_range_of_linalg(scale):
     stack = scale * (np.eye(3) + 0.3 * trial_rng(114, 0).uniform(-1.0, 1.0, (16, 3, 3)))
     inverse, det = inverse_det(stack)
@@ -308,7 +310,7 @@ def test_inverse_det_has_the_range_of_linalg(scale):
     assert np.array_equal(np.isinf(det), np.isinf(want_det))
     finite = np.isfinite(want_det)
     assert np.all(np.abs(det[finite] - want_det[finite]) <= 1e-13 * np.abs(want_det[finite]))
-    if scale > 1.0:
+    if np.prod(scale) > 1.0:
         assert np.array_equal(inverse2(stack), inverse)
     else:  # det about 1e-300, below the absolute floor
         with pytest.raises(SingularTensorError):
@@ -321,11 +323,11 @@ def test_inverse2_reports_the_first_singular_item():
     stack[4] = 1e-3 * np.eye(3)  # det 1e-9, also below the floor
     with pytest.raises(SingularTensorError) as err:
         inverse2(stack)
-    assert err.value.det == 0.0
+    assert (err.value.det, err.value.index) == (0.0, 2)
     assert inverse_det(stack)[1][4] == pytest.approx(1e-9)
     with pytest.raises(SingularTensorError) as err:
         inverse2(stack[3:])
-    assert err.value.det == pytest.approx(1e-9)
+    assert err.value.det == pytest.approx(1e-9) and err.value.index == 1
 
 
 def test_matpow():
@@ -336,12 +338,12 @@ def test_matpow():
 
 
 def test_hamilton_cayley_residual():
-    assert maxabs(hamilton_cayley_residual(I)) == 0.0
-    assert maxabs(hamilton_cayley_residual(D)) <= 1e-12
+    assert maxabs(hamilton_cayley_residual(I, *invariants(I))) == 0.0
+    assert maxabs(hamilton_cayley_residual(D, *invariants(D))) <= 1e-12
     for t in range(100):
         a = random_ten2(trial_rng(112, t))
         bound = 1e-12 * (1.0 + maxabs(a) ** 3)
-        assert maxabs(hamilton_cayley_residual(a)) <= bound
+        assert maxabs(hamilton_cayley_residual(a, *invariants(a))) <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tenderiv.algebra import (
+    SingularTensorError,
     ddot_cross,
     ddot_pos,
     ddot_seq,
@@ -21,22 +22,28 @@ from tenderiv.calculus import (
     TensorFunction,
     catalog,
     d_invariant,
-    d_invariant_3_compact,
     d_inverse,
     d_power,
     d_trace_power,
     d_transpose,
     fd_scalar_derivative,
     fd_tensor_derivative,
-    gato_derivative,
-    linearization_check,
     product_rule_dot,
     product_rule_scalar_tensor,
 )
 from tenderiv.isotropic import iso_tensor
 from tenderiv.rng import trial_rng
 
-from oracles import one_hot2, random_invertible, random_near_identity, random_ten2, random_ten4
+from oracles import (
+    d_invariant_3_compact,
+    gato_derivative,
+    linearization_check,
+    one_hot2,
+    random_invertible,
+    random_near_identity,
+    random_ten2,
+    random_ten4,
+)
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])
@@ -81,7 +88,7 @@ def test_fd_kind_mismatch_rejected():
 def test_fd_guards_probe_points():
     # base point passes the determinant floor but an axis probe lands on zero
     a = np.diag([1.0, 1.0, 1e-5])
-    assert CAT["inverse"].in_domain(a)
+    assert np.allclose(inverse2(a), np.diag([1.0, 1.0, 1e5]))
     with pytest.raises(DomainError):
         fd_tensor_derivative(CAT["inverse"], a)
     with pytest.raises(DomainError):
@@ -98,6 +105,9 @@ def test_fd_guard_is_checked_at_every_probe_of_a_stack():
         fd_tensor_derivative(CAT["inverse"], np.stack([I, near, np.zeros((3, 3))]))
     with pytest.raises(DomainError, match="the base point"):
         fd_tensor_derivative(CAT["inverse"], np.stack([I, np.zeros((3, 3)), near]))
+    # det = 0 at the base point only: every probe moves it to about +-3.3e-6
+    with pytest.raises(DomainError, match="the base point"):
+        fd_tensor_derivative(CAT["inverse"], I - np.ones((3, 3)) / 3.0)
 
 
 @pytest.mark.parametrize("name", sorted(CAT))
@@ -110,7 +120,7 @@ def test_fd_of_a_stack_equals_fd_of_each_argument(name):
 
 def test_fd_probe_points_follow_the_step_rule():
     # each component alone is probed at a[k,p] +/- 1e-5 * max(1, |a[k,p]|);
-    # the whole stencil goes to the evaluator as one stack of 18 probes
+    # the whole stencil goes to the evaluator as one stack: a, then 18 probes
     a = np.diag([0.1, -4.0, 1.0])
     probes, calls = [], []
 
@@ -120,9 +130,10 @@ def test_fd_probe_points_follow_the_step_rule():
         return np.zeros(len(x))
 
     fd_scalar_derivative(TensorFunction("probe", "scalar", record, None), a)
-    assert calls == [(18, 3, 3)]
+    assert calls == [(19, 3, 3)]
+    assert np.array_equal(probes[0], a)
     steps = {}
-    for probe in probes:
+    for probe in probes[1:]:
         moved = probe - a
         (k,), (p,) = np.nonzero(moved)
         steps.setdefault((k, p), []).append(moved[k, p])
@@ -158,11 +169,6 @@ def test_gato_matches_derivative_contraction():
             else:
                 want = ddot_seq(fn.deriv(a), transpose2(direction))
             assert relerr(got, want) <= 1e-7, fn.name
-
-
-def test_gato_guard():
-    with pytest.raises(DomainError):
-        gato_derivative(CAT["inverse"], np.zeros((3, 3)), I)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +406,7 @@ def test_catalog_contents():
         "I1", "I2", "I3", "trI_pow_2", "trI_pow_3", "trI_pow_4",
         "id", "transpose", "square", "cube", "inverse",
     }
-    assert CAT["inverse"].guard is not None
-    assert not CAT["inverse"].in_domain(np.zeros((3, 3)))
+    assert CAT["inverse"].func is inverse2
+    with pytest.raises(SingularTensorError):
+        CAT["inverse"].func(np.zeros((3, 3)))
     assert CAT["I3"].func(D) == pytest.approx(6.0)

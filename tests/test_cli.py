@@ -92,9 +92,10 @@ def test_unwritable_identities_out_fails_before_the_suite(tmp_path, monkeypatch,
 def test_identities_output_is_pinned(tmp_path):
     # bytes recorded from the products summed elementwise in a fixed order and
     # the cofactor inverses; only the last bits of some max_abs_err values
-    # moved from the einsum kernels before them (a deliberate re-pin, listed
-    # in CHANGES.md).  No product sums through BLAS, so OpenBLAS's AVX2 and
-    # AVX-512 kernels give these same bytes.
+    # moved from the kernels before them (deliberate re-pins, listed in
+    # CHANGES.md).  Powers and invariants multiply through the same products
+    # and nothing sums through BLAS, so OpenBLAS's AVX-512, AVX2 and pre-FMA
+    # kernels all give these same bytes.
     out = tmp_path / "r.json"
     assert main(["identities", "--seed", "42", "--trials", "200", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "identities_seed42_trials200.json").read_bytes()
@@ -152,6 +153,14 @@ def test_deriv_usage_errors(tmp_path, capsys, diag_path):
     huge.write_text(json.dumps({"matrix": [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]}))
     assert main(["deriv", "--fn", "I1", "--at", str(huge)]) == 2
     assert "error:" in capsys.readouterr().err
+    # strings and booleans are not numbers, though numpy would read them as 9.0 and 1.0
+    for entry in ("9", True):
+        typed = write(tmp_path / "typed.json", {"matrix": [[entry, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        assert main(["deriv", "--fn", "I1", "--at", typed]) == 2
+        assert "error:" in capsys.readouterr().err
+    # an integer past int64 is still a JSON number
+    big = write(tmp_path / "big.json", {"matrix": [[2**70, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    assert main(["deriv", "--fn", "I1", "--at", big]) == 0
 
 
 def test_convert_layouts(tmp_path):
@@ -179,6 +188,11 @@ def test_convert_parse_errors(tmp_path, capsys):
     huge.write_text(json.dumps({"tensor4": entries}))
     assert main(["convert", "--direction", "to-group2", "--tensor", str(huge)]) == 2
     assert "error:" in capsys.readouterr().err
+    for entry in ("9", False):
+        entries[0][0][0][0] = entry
+        typed = write(tmp_path / "typed.json", {"tensor4": entries})
+        assert main(["convert", "--direction", "to-group2", "--tensor", typed]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand():
@@ -186,15 +200,17 @@ def test_unknown_subcommand():
 
 
 def test_deriv_of_the_inverse_at_huge_entries(tmp_path, capsys):
-    # det is about 8e330, past the float range: the inverse must stay right
-    d = np.array([1e110, 2e110, 4e110])
-    at = write(tmp_path / "huge.json", matrix_obj(np.diag(d)))
-    assert main(["deriv", "--fn", "inverse", "--at", at, "--fd-check"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    b = np.diag(1.0 / d)
-    want = -np.einsum("ik,pj->ijkp", b, b)  # d(A^-1)_ij / dA_kp
-    assert np.max(np.abs(parse_tensor4(out["derivative"]) - want)) <= 1e-14 * np.max(np.abs(want))
-    assert out["fd_max_abs_err"] <= 1e-6 * np.max(np.abs(want))
+    # det about 8e330, past the float range; then rows 1e200 apart in size:
+    # the inverse must stay right
+    for d in (np.array([1e110, 2e110, 4e110]), np.array([1e200, 1.0, 1.0])):
+        at = write(tmp_path / "huge.json", matrix_obj(np.diag(d)))
+        assert main(["deriv", "--fn", "inverse", "--at", at, "--fd-check"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        b = np.diag(1.0 / d)
+        want = -np.einsum("ik,pj->ijkp", b, b)  # d(A^-1)_ij / dA_kp
+        assert (np.max(np.abs(parse_tensor4(out["derivative"]) - want))
+                <= 1e-14 * np.max(np.abs(want)))
+        assert out["fd_max_abs_err"] <= 1e-6 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("fn", ["cube", "I3", "square"])
