@@ -76,18 +76,20 @@ def _finite(what, value):
     return value
 
 
+_CATALOG = catalog()
+
+
 def cmd_deriv(args):
-    fns = catalog()
-    if args.fn not in fns:
+    if args.fn not in _CATALOG:
         return _usage_error(
-            f"unknown function {args.fn!r}; available: {', '.join(sorted(fns))}"
+            f"unknown function {args.fn!r}; available: {', '.join(sorted(_CATALOG))}"
         )
     try:
         at = parse_matrix(load_json(args.at))
     except SerializeError as exc:
         return _usage_error(str(exc))
 
-    fn = fns[args.fn]
+    fn = _CATALOG[args.fn]
     as_obj = matrix_obj if fn.kind == "scalar" else tensor4_obj
     fd_derivative = fd_scalar_derivative if fn.kind == "scalar" else fd_tensor_derivative
     payload = {"fn": fn.name, "kind": fn.kind, "at": matrix_obj(at)}
@@ -158,10 +160,15 @@ def build_parser():
     return parser
 
 
+_parser = None  # built by the first main call, then reused
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize other codes
         return int(exc.code) if exc.code else 0

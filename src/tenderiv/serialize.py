@@ -10,7 +10,10 @@ reproduces the exact 64-bit value, and the writer is deterministic: identical
 data produces identical bytes.
 """
 
+import functools
 import json
+import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -23,15 +26,34 @@ class SerializeError(ValueError):
 
 def format_float(x):
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise SerializeError(f"non-finite number cannot be serialized: {x!r}")
     return format(x, ".17g")
 
 
-def _is_scalar_list(obj):
-    return isinstance(obj, (list, tuple)) and all(
-        not isinstance(v, (list, tuple, dict)) for v in obj
-    )
+def _array(obj):
+    """Shape and row-major entries of a regular nested list of scalars, else None."""
+    shape, values = [], [obj]
+    while values and all(map(isinstance, values, repeat((list, tuple)))):
+        shape.append(len(values[0]))
+        if len(set(map(len, values))) > 1:
+            return None
+        values = list(chain.from_iterable(values))
+    # by type, not per entry: a failed isinstance costs an attribute lookup
+    if any(issubclass(kind, (list, tuple, dict)) for kind in set(map(type, values))):
+        return None
+    return tuple(shape), values
+
+
+@functools.lru_cache(maxsize=16)
+def _template(shape, level, field):
+    """Text of an array of this shape at this indent level, one format field per entry."""
+    if len(shape) == 1:
+        # scalar rows stay on one line for diffability
+        return "[" + ", ".join([field] * shape[0]) + "]"
+    pad = "  " * level
+    row = pad + "  " + _template(shape[1:], level + 1, field)
+    return "[\n" + ",\n".join([row] * shape[0]) + "\n" + pad + "]"
 
 
 def _write(obj, parts, level):
@@ -47,9 +69,13 @@ def _write(obj, parts, level):
             parts.append(",\n" if n < len(obj) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        if _is_scalar_list(obj):
-            # scalar rows stay on one line for diffability
-            parts.append("[" + ", ".join(_scalar(v) for v in obj) + "]")
+        array = _array(obj)
+        if array is not None:
+            shape, values = array
+            if all(map(isinstance, values, repeat(float))) and all(map(math.isfinite, values)):
+                parts.append(_template(shape, level, "{:.17g}").format(*values))
+            else:  # other scalars; format_float rejects a non-finite float
+                parts.append(_template(shape, level, "{}").format(*map(_scalar, values)))
             return
         parts.append("[\n")
         for n, value in enumerate(obj):
@@ -131,3 +157,5 @@ def load_json(path):
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         # JSON text is UTF-8, so undecodable bytes are invalid JSON as well
         raise SerializeError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise SerializeError(f"{path}: invalid JSON (nested too deeply)") from None

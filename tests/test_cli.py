@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,13 @@ from tenderiv.isotropic import iso_tensor
 from tenderiv.serialize import dumps, matrix_obj, parse_tensor4, tensor4_obj
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(tenderiv.cli.__file__).resolve().parents[1]
+
+# a non-symmetric, invertible argument (det 6.0335) and a singular one
+PINNED_AT = [[1.3, -0.4, 0.25], [0.7, 2.1, -0.6], [-0.2, 0.9, 1.7]]
+PINNED_SINGULAR = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
+CATALOG_NAMES = ["I1", "I2", "I3", "trI_pow_2", "trI_pow_3", "trI_pow_4",
+                 "id", "transpose", "square", "cube", "inverse"]
 
 
 def write(path, obj):
@@ -99,6 +109,86 @@ def test_identities_output_is_pinned(tmp_path):
     out = tmp_path / "r.json"
     assert main(["identities", "--seed", "42", "--trials", "200", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "identities_seed42_trials200.json").read_bytes()
+
+
+def test_deriv_output_is_pinned(tmp_path, capsys):
+    # bytes recorded from separate `python -m tenderiv` processes; the inputs
+    # are written with the standard library, not with the writer under test
+    pinned = DATA / "deriv_pinned"
+    at, singular = tmp_path / "at.json", tmp_path / "singular.json"
+    at.write_text(json.dumps({"matrix": PINNED_AT}))
+    singular.write_text(json.dumps({"matrix": PINNED_SINGULAR}))
+    for fn in CATALOG_NAMES:
+        assert main(["deriv", "--fn", fn, "--at", str(at), "--fd-check"]) == 0
+        assert capsys.readouterr().out == (pinned / f"deriv_{fn}.json").read_text(), fn
+    assert main(["deriv", "--fn", "inverse", "--at", str(singular), "--fd-check"]) == 1
+    assert capsys.readouterr().out == (pinned / "deriv_inverse_singular.json").read_text()
+
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps(json.loads((pinned / "deriv_cube.json").read_text())["derivative"]))
+    for direction in ("to-group2", "to-group3"):
+        assert main(["convert", "--direction", direction, "--tensor", str(cube)]) == 0
+        assert capsys.readouterr().out == (pinned / f"convert_{direction}.json").read_text()
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "tenderiv", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # argparse wraps its usage text to the terminal width: fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("TENDERIV_SEED", raising=False)
+    build_parser = tenderiv.cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(tenderiv.cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(tenderiv.cli, "_parser", None)
+
+    at = tmp_path / "at.json"
+    at.write_text(json.dumps({"matrix": PINNED_AT}))
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps(tensor4_obj(iso_tensor("II"))))
+    requests = [
+        (["deriv", "--fn", "nope", "--at", str(at)], True),
+        (["deriv", "--fn", "I1"], True),  # argparse: --at is required
+        (["deriv", "--fn", "inverse", "--at", str(at), "--fd-check"], True),
+        (["convert", "--direction", "to-group2", "--tensor", str(tensor)], True),
+        # stderr carries the suite's wall time
+        (["identities", "--trials", "1"], False),
+    ]
+    for argv, same_stderr in requests:
+        rc = main(argv)
+        got = capsys.readouterr()
+        want_rc, want_out, want_err = _fresh_process(argv)
+        assert (rc, got.out) == (want_rc, want_out), argv
+        if same_stderr:
+            assert got.err == want_err, argv
+    assert len(built) == 1
+
+    for seed in (7, 9):
+        monkeypatch.setenv("TENDERIV_SEED", str(seed))
+        assert main(["identities", "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"][0]["seed"] == seed
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("command", [["deriv", "--fn", "I1", "--at"],
+                                     ["convert", "--direction", "to-group2", "--tensor"]])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, command):
+    key = "matrix" if command[0] == "deriv" else "tensor4"
+    deep = tmp_path / "deep.json"
+    deep.write_text(f'{{"{key}": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert main([*command, str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
 
 
 def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):

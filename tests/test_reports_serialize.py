@@ -50,6 +50,45 @@ def test_dumps_parses_back_and_is_deterministic():
     assert json.loads(text) == obj
 
 
+@pytest.mark.parametrize("obj, text", [
+    # regular all-float lists: rows on one line, 17 significant digits
+    ([[-0.0, 1e-300], [5e-324, 2.2250738585072009e-308]],
+     "[\n  [-0, 1e-300],\n  [4.9406564584124654e-324, 2.2250738585072009e-308]\n]\n"),
+    ({"m": [[0.1, 1.0]]}, '{\n  "m": [\n    [0.10000000000000001, 1]\n  ]\n}\n'),
+    (((0.5, -2.0),), "[\n  [0.5, -2]\n]\n"),
+    ([np.float64(1 / 3)], "[0.33333333333333331]\n"),
+    ([], "[]\n"),
+    ([[], []], "[\n  [],\n  []\n]\n"),
+    # ragged: the outer list is walked, each all-float row stays on one line
+    ([[1.0, 2.0], [3.0]], "[\n  [1, 2],\n  [3]\n]\n"),
+    ([[], [1.0]], "[\n  [],\n  [1]\n]\n"),
+    ([1.0, [2.0]], "[\n  1,\n  [2]\n]\n"),
+    # other scalars keep their own text: ints in full, booleans and null as JSON
+    ([1.5, 10**20], "[1.5, 100000000000000000000]\n"),
+    ([True, 1.0, None], "[true, 1, null]\n"),
+    ([[1.0, 2.0], [3.0, 4]], "[\n  [1, 2],\n  [3, 4]\n]\n"),
+    ([["a", 1], [False, 0.5]], '[\n  ["a", 1],\n  [false, 0.5]\n]\n'),
+    # the report list
+    ({"reports": [{"name": "a", "max_abs_err": 0.25, "pass": True}], "all_pass": True},
+     '{\n  "reports": [\n    {\n      "name": "a",\n      "max_abs_err": 0.25,\n'
+     '      "pass": true\n    }\n  ],\n  "all_pass": true\n}\n'),
+], ids=["signed-zero-and-subnormals", "nested-in-dict", "tuples", "numpy-float64", "empty",
+        "empty-rows", "ragged", "ragged-empty-row", "float-then-list", "big-int",
+        "bool-float-none", "int-in-last-row", "strings-and-bools", "report-list"])
+def test_dumps_text(obj, text):
+    assert dumps(obj) == text
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dumps_rejects_nonfinite_array_entries(bad):
+    h = np.zeros((3, 3, 3, 3))
+    h[2, 1, 0, 2] = bad
+    with pytest.raises(SerializeError, match="non-finite"):
+        dumps({"derivative": tensor4_obj(h)})
+    with pytest.raises(SerializeError, match="non-finite"):
+        dumps(matrix_obj(h[2, 1]))
+
+
 def test_matrix_roundtrip():
     a = np.arange(9, dtype=float).reshape(3, 3) / 7.0
     assert np.array_equal(parse_matrix(json.loads(dumps(matrix_obj(a)))), a)
