@@ -41,12 +41,7 @@ from .basis import (
     to_components,
     verify_basis_invariance,
 )
-from .bridge import (
-    check_seq_transposers,
-    convention_row_check,
-    to_nested_layout,
-    to_trailing_layout,
-)
+from .bridge import to_nested_layout, to_trailing_layout
 from .calculus import (
     DomainError,
     TensorFunction,

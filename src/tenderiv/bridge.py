@@ -17,8 +17,8 @@ sequential, cross or positional convention, once each operand is expressed
 in the layout native to its convention.  The row checks at the bottom verify
 this for the chain rules, the product rules and the closed-form derivatives
 of A, A^T, A^2 and A^-1.  The A^2 and A^-1 rows also compare against the
-finite-difference oracle, whose truncation error sits far above rounding;
-``convention_row_check`` is the one place that sets their tolerance.
+finite-difference oracle; the report table in ``suites`` sets their
+tolerance.
 """
 
 import numpy as np
@@ -33,11 +33,7 @@ from .calculus import (
 )
 from .calculus import catalog as _calculus_catalog
 from .isotropic import iso_tensor
-from .reporting import fuzz_report
 from .rng import near_identity, uniform_tensors
-
-# Tolerance floor of the rows that compare against the finite-difference oracle.
-FD_TOL = 1e-9
 
 # operand ranks of the batched products below
 R22, R24, R42, R44 = (2, 2), (2, 4), (4, 2), (4, 4)
@@ -84,22 +80,6 @@ def rank4_bridge_error(l1a, l1b):
     scale = 1.0 + maxabs(l1a, 4) * maxabs(l1b, 4)
     return np.maximum(maxabs(p_pos - to_nested_layout(p_cross), 4),
                       maxabs(p_seq - p_cross, 4)) / scale
-
-
-def check_seq_transposers(seed=0, trials=100, tol=1e-12):
-    """C_II : C_II = C_III under the sequential contraction, and C_III is its unit.
-
-    The second statement is fuzzed: D : C_III = D for random fourth-rank D.
-    """
-    c2, c3 = iso_tensor("II"), iso_tensor("III")
-    square_err = maxabs(product("ddot_seq", c2, c2) - c3)
-
-    def trial_errors(rng, n):
-        (d,) = uniform_tensors(rng, n, 4)
-        return np.maximum(square_err,
-                          maxabs(product("ddot_seq", d, c3, R44) - d, 4) / (1.0 + maxabs(d, 4)))
-
-    return fuzz_report("bridge/seq-transposer-identities", seed, trials, tol, trial_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +174,13 @@ def _row_scalar_times_tensor(rng, n):
 
 _CATALOG = _calculus_catalog()
 
-# name -> (block evaluator, compares against the finite-difference oracle).
-# The evaluator stays first: perfbench/tracer.py reads entry[0].
+# name -> block evaluator; perfbench/tracer.py names its bridge.row.* spans by key.
 CONVENTION_ROWS = {
-    "chain_scalar": (_row_chain_scalar, False),
-    "chain_tensor": (_row_chain_tensor, False),
-    "product_dot": (_row_product_dot, False),
-    "unit_and_transposer": (_row_unit_and_transposer, False),
-    "square": (_row_square, True),
-    "inverse": (_row_inverse, True),
-    "scalar_times_tensor": (_row_scalar_times_tensor, False),
+    "chain_scalar": _row_chain_scalar,
+    "chain_tensor": _row_chain_tensor,
+    "product_dot": _row_product_dot,
+    "unit_and_transposer": _row_unit_and_transposer,
+    "square": _row_square,
+    "inverse": _row_inverse,
+    "scalar_times_tensor": _row_scalar_times_tensor,
 }
-
-
-def convention_row_check(row, seed=0, trials=200, tol=1e-12):
-    """Fuzz one cross-convention row and report the worst normalized error.
-
-    Rows that compare against the finite-difference oracle are held to
-    max(tol, FD_TOL), the purely algebraic rows to ``tol``.
-    """
-    if row not in CONVENTION_ROWS:
-        raise ValueError(
-            f"unknown convention row {row!r}; expected one of {sorted(CONVENTION_ROWS)}"
-        )
-    evaluate, uses_fd = CONVENTION_ROWS[row]
-    return fuzz_report(f"bridge/rule/{row}", seed, trials,
-                       max(tol, FD_TOL) if uses_fd else tol, evaluate)

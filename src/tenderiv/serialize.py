@@ -104,18 +104,20 @@ def _scalar(obj):
 def dumps(obj):
     """Deterministic JSON text with 17-significant-digit floats."""
     parts = []
-    _write(obj, parts, 0)
+    try:
+        _write(obj, parts, 0)
+    except RecursionError:
+        raise SerializeError("cannot serialize: object nested too deeply") from None
     parts.append("\n")
     return "".join(parts)
 
 
 def matrix_obj(a):
-    return {"matrix": [[float(v) for v in row] for row in np.asarray(a, dtype=float)]}
+    return {"matrix": np.asarray(a, dtype=float).tolist()}
 
 
 def tensor4_obj(h):
-    h = np.asarray(h, dtype=float)
-    return {"tensor4": h.tolist()}
+    return {"tensor4": np.asarray(h, dtype=float).tolist()}
 
 
 def _as_array(data, shape, what):

@@ -1,9 +1,12 @@
 """Seeded identity suites: the checks behind `tenderiv identities`.
 
+``run_report`` runs one row of the report table ``REPORTS`` by name and
+``full_identity_suite`` runs every row in order.
+
 Every report normalizes its worst absolute error by (1 + product of operand
 max-norms), so the configured tolerance is a pure rounding allowance.  Each
-fuzzed report runs through ``reporting.fuzz_report``, which draws all of its
-trials from one Philox generator keyed by (seed, report name); results are
+report runs through ``reporting.fuzz_report``, which draws all of its trials
+from one Philox generator keyed by (seed, report name); results are
 independent of execution order.
 
 The trial functions here take ``(rng, n)`` and evaluate a block of n trials
@@ -18,23 +21,12 @@ from functools import partial
 import numpy as np
 
 from .algebra import maxabs, product, transpose2
-from .bridge import (
-    CONVENTION_ROWS,
-    check_seq_transposers,
-    convention_row_check,
-    rank2_bridge_error,
-    rank4_bridge_error,
-    to_nested_layout,
-    to_trailing_layout,
-)
+from .bridge import CONVENTION_ROWS, to_nested_layout, to_trailing_layout
 from .isotropic import KINDS, SCHEMES, contraction_role, expected_role, iso_tensor, rotation_error
-from .reporting import CheckReport, RunSummary, fuzz_report
+from .reporting import RunSummary, fuzz_report
 from .rng import orthogonal_tensors, uniform_tensors
 
-# Random orthogonal maps per rotation-invariance report, whatever the trial count.
-ROTATIONS = 50
-
-R22 = (2, 2)
+R22, R44 = (2, 2), (4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +84,6 @@ def _err_cross_via_seq(rx, ry, rng, n):
     return np.maximum(maxabs(via_left - ref, out_rank), maxabs(via_right - ref, out_rank)) / scale
 
 
-def contraction_identity_reports(seed, trials, tol):
-    """Identities tying the three double contractions together."""
-    checks = {
-        "algebra/cross-as-seq-transpose": _err_cross_as_seq_transpose,
-        "algebra/ddot-symmetry": _err_ddot_symmetry,
-        "algebra/dot-ddot-associativity": _err_dot_ddot_associativity,
-        "algebra/pos-equals-cross-rank2": _err_pos_equals_cross_rank2,
-    }
-    for rx, ry in [(2, 2), (2, 4), (4, 2), (4, 4)]:
-        checks[f"algebra/cross-via-seq-{rx}x{ry}"] = partial(_err_cross_via_seq, rx, ry)
-    return [fuzz_report(name, seed, trials, tol, fn) for name, fn in checks.items()]
-
-
 # ---------------------------------------------------------------------------
 # Isotropic tensor roles
 # ---------------------------------------------------------------------------
@@ -115,24 +94,8 @@ def _err_role(scheme, kind, side, rng, n):
     return maxabs(got - expected_role(scheme, kind, a), 2) / (1.0 + maxabs(a, 2))
 
 
-def iso_role_reports(seed, trials, tol):
-    """All scheme x kind x side contractions against their closed forms."""
-    return [
-        fuzz_report(f"iso/role/{scheme}/{kind}/{side}", seed, trials, tol,
-                    partial(_err_role, scheme, kind, side))
-        for scheme in SCHEMES for kind in KINDS for side in ("left", "right")
-    ]
-
-
-def iso_rotation_reports(seed, tol):
-    """Slot-rotation invariance of each isotropic tensor under orthogonal maps."""
-    return [
-        fuzz_report(
-            f"iso/rotation-invariance/{kind}", seed, ROTATIONS, tol,
-            lambda rng, n, kind=kind: rotation_error(kind, orthogonal_tensors(rng, n)),
-        )
-        for kind in KINDS
-    ]
+def _err_rotation(kind, rng, n):
+    return rotation_error(kind, orthogonal_tensors(rng, n))
 
 
 # ---------------------------------------------------------------------------
@@ -147,34 +110,68 @@ def _err_layout_roundtrip(rng, n):
     )
 
 
-def bridge_reports(seed, trials, tol):
-    """Layout roundtrip, layout constants, contraction bridges and the rule rows."""
+def _err_layout_constants(rng, n):
+    # a fixed measurement: no operand is drawn
     c1, c2, c3 = iso_tensor("I"), iso_tensor("II"), iso_tensor("III")
-    const_err = max(
+    err = max(
         maxabs(to_nested_layout(c2) - c1),
         maxabs(to_nested_layout(c3) - c2),
         maxabs(to_trailing_layout(c1) - c2),
         maxabs(to_trailing_layout(c2) - c3),
     )
-    return [
-        fuzz_report("bridge/layout-roundtrip", seed, trials, tol, _err_layout_roundtrip),
-        CheckReport.from_measurement("bridge/layout-constants", 1, const_err, tol, seed),
-        fuzz_report("bridge/rank2-contraction", seed, trials, tol,
-                    lambda rng, n: rank2_bridge_error(*uniform_tensors(rng, n, 2, 4))),
-        fuzz_report("bridge/rank4-contraction", seed, trials, tol,
-                    lambda rng, n: rank4_bridge_error(*uniform_tensors(rng, n, 4, 4))),
-        *(convention_row_check(row, seed, trials, tol) for row in CONVENTION_ROWS),
-        check_seq_transposers(seed, min(trials, 100), tol),
-    ]
+    return np.full(n, err)
+
+
+def _err_seq_transposers(rng, n):
+    # C_II : C_II = C_III under the sequential contraction, and C_III is its unit
+    c2, c3 = iso_tensor("II"), iso_tensor("III")
+    square_err = maxabs(product("ddot_seq", c2, c2) - c3)
+    (d,) = uniform_tensors(rng, n, 4)
+    return np.maximum(square_err,
+                      maxabs(product("ddot_seq", d, c3, R44) - d, 4) / (1.0 + maxabs(d, 4)))
+
+
+# Trial-count rules: a report's trial count when the run asks for t trials.
+COUNTS = {"run": lambda t: t, "rotations": lambda t: 50, "capped": lambda t: min(t, 100),
+          "once": lambda t: 1}
+
+# Tolerance classes: a report's tolerance from the run's.  Reports that compare against
+# the finite-difference oracle, whose truncation error sits far above rounding, get "fd".
+TOLERANCES = {"algebraic": lambda tol: tol, "fd": lambda tol: max(tol, 1e-9)}
+
+# name -> (block trial function, trial-count rule, tolerance class), in output order.
+REPORTS = {
+    "algebra/cross-as-seq-transpose": (_err_cross_as_seq_transpose, "run", "algebraic"),
+    "algebra/ddot-symmetry": (_err_ddot_symmetry, "run", "algebraic"),
+    "algebra/dot-ddot-associativity": (_err_dot_ddot_associativity, "run", "algebraic"),
+    "algebra/pos-equals-cross-rank2": (_err_pos_equals_cross_rank2, "run", "algebraic"),
+    **{f"algebra/cross-via-seq-{x}x{y}": (partial(_err_cross_via_seq, x, y), "run", "algebraic")
+       for x, y in [(2, 2), (2, 4), (4, 2), (4, 4)]},
+    **{f"iso/role/{s}/{k}/{side}": (partial(_err_role, s, k, side), "run", "algebraic")
+       for s in SCHEMES for k in KINDS for side in ("left", "right")},
+    **{f"iso/rotation-invariance/{k}": (partial(_err_rotation, k), "rotations", "algebraic")
+       for k in KINDS},
+    "bridge/layout-roundtrip": (_err_layout_roundtrip, "run", "algebraic"),
+    "bridge/layout-constants": (_err_layout_constants, "once", "algebraic"),
+    "bridge/rank2-contraction": (CONVENTION_ROWS["chain_scalar"], "run", "algebraic"),
+    "bridge/rank4-contraction": (CONVENTION_ROWS["chain_tensor"], "run", "algebraic"),
+    **{f"bridge/rule/{row}": (fn, "run", "fd" if row in ("square", "inverse") else "algebraic")
+       for row, fn in CONVENTION_ROWS.items()},
+    "bridge/seq-transposer-identities": (_err_seq_transposers, "capped", "algebraic"),
+}
+
+
+def run_report(name, seed, trials, tol=1e-12):
+    """Run the named report for a run of ``trials`` trials at tolerance ``tol``."""
+    if name not in REPORTS:
+        raise ValueError(f"unknown report {name!r}")
+    trial_errors, count, tol_class = REPORTS[name]
+    return fuzz_report(name, seed, COUNTS[count](trials), TOLERANCES[tol_class](tol), trial_errors)
 
 
 def full_identity_suite(seed, trials, tol=1e-12):
-    """Every identity suite in a fixed order, with wall time for the log."""
+    """Every report of the table in order, with wall time for the log."""
     t0 = time.perf_counter()
-    reports = []
-    reports += contraction_identity_reports(seed, trials, tol)
-    reports += iso_role_reports(seed, trials, tol)
-    reports += iso_rotation_reports(seed, tol)
-    reports += bridge_reports(seed, trials, tol)
+    reports = [run_report(name, seed, trials, tol) for name in REPORTS]
     wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
     return RunSummary(reports=reports, wall_time_ms=wall_ms)

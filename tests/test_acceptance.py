@@ -22,7 +22,7 @@ from tenderiv.calculus import (
 from tenderiv.basis import make_basis, verify_basis_invariance
 from tenderiv.isotropic import KINDS, SCHEMES, contraction_role, expected_role, iso_tensor
 from tenderiv.rng import trial_rng
-from tenderiv.suites import bridge_reports, contraction_identity_reports
+from tenderiv.suites import REPORTS, run_report
 
 from oracles import (
     d_invariant_3_compact,
@@ -65,7 +65,7 @@ def test_criterion_01_iso_roles_complete():
 
 
 def test_criterion_02_contraction_identity_suite():
-    reports = contraction_identity_reports(SEED, trials=500, tol=1e-12)
+    reports = [run_report(name, SEED, 500) for name in REPORTS if name.startswith("algebra/")]
     worst = max(r.max_abs_err for r in reports)
     ok = all(r.passed for r in reports)
     record(2, "double-contraction identity suite on all rank combinations", ok,
@@ -141,7 +141,7 @@ def test_criterion_07_layout_bridge_suite():
     exact = max(exact,
                 maxabs(to_nested_layout(c2) - c1),
                 maxabs(to_nested_layout(c3) - c2))
-    reports = bridge_reports(SEED, trials=200, tol=1e-12)
+    reports = [run_report(name, SEED, 200) for name in REPORTS if name.startswith("bridge/")]
     ok = exact == 0.0 and all(r.passed for r in reports)
     worst = max(r.max_abs_err for r in reports)
     record(7, "layout bridge: roundtrip, constants, contraction bridges, rule rows",

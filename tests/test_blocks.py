@@ -34,7 +34,7 @@ from tenderiv.calculus import catalog, d_inverse, fd_tensor_derivative
 from tenderiv.isotropic import iso_tensor, rotate4
 from tenderiv.reporting import BLOCK, fuzz_report
 from tenderiv.rng import report_rng, trial_rng
-from tenderiv.suites import full_identity_suite
+from tenderiv.suites import REPORTS
 
 from oracles import (
     box_oracle,
@@ -62,18 +62,7 @@ TRIAL_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 @pytest.fixture(scope="module")
 def trial_functions():
     """Report name -> the block trial function the suite hands to fuzz_report."""
-    found = {}
-    real = tenderiv.suites.fuzz_report
-
-    def capture(name, seed, trials, tol, trial_errors):
-        found[name] = trial_errors
-        return real(name, seed, trials, tol, trial_errors)
-
-    with pytest.MonkeyPatch.context() as mp:
-        for module in (tenderiv.suites, tenderiv.bridge):
-            mp.setattr(module, "fuzz_report", capture)
-        full_identity_suite(0, 1)
-    return found
+    return {name: row[0] for name, row in REPORTS.items()}
 
 
 def block_errors(name, trial_errors, trials):

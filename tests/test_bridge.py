@@ -16,8 +16,6 @@ from tenderiv.algebra import (
 )
 from tenderiv.bridge import (
     CONVENTION_ROWS,
-    check_seq_transposers,
-    convention_row_check,
     rank2_bridge_error,
     rank4_bridge_error,
     to_nested_layout,
@@ -26,7 +24,7 @@ from tenderiv.bridge import (
 from tenderiv.calculus import d_inverse, d_power
 from tenderiv.isotropic import iso_tensor
 from tenderiv.rng import trial_rng
-from tenderiv.suites import bridge_reports, full_identity_suite
+from tenderiv.suites import full_identity_suite, run_report
 
 from oracles import one_hot2, one_hot4, random_near_identity, random_ten2, random_ten4
 
@@ -99,25 +97,24 @@ def test_seq_transposer_identities():
     assert np.array_equal(ddot_seq(C2, C2), C3)
     hot = one_hot4(0, 1, 2, 0)
     assert np.array_equal(ddot_seq(hot, C3), hot)
-    report = check_seq_transposers(seed=7, trials=100)
+    report = run_report("bridge/seq-transposer-identities", 7, 100)
     assert report.passed and report.max_abs_err <= 1e-12
 
 
 @pytest.mark.parametrize("row", sorted(CONVENTION_ROWS))
 def test_convention_rows_pass(row):
-    report = convention_row_check(row, seed=11, trials=40)
+    report = run_report(f"bridge/rule/{row}", 11, 40)
     assert report.passed, f"{row}: err={report.max_abs_err:.3e} tol={report.tol:.0e}"
 
 
 def test_rule_rows_keep_algebraic_tolerance():
-    # the FD rows get max(tol, 1e-9), the algebraic rows tol, from every entry point
+    # the FD rows get max(tol, 1e-9), the algebraic rows tol, from the suite and the runner
     fd_rows = {"bridge/rule/square", "bridge/rule/inverse"}
     for tol in (1e-14, 1e-12, 1e-6):
         entry_points = {
             "full_identity_suite": full_identity_suite(1, 2, tol=tol).reports,
-            "bridge_reports": bridge_reports(1, 2, tol),
-            "convention_row_check": [convention_row_check(row, 1, 2, tol)
-                                     for row in CONVENTION_ROWS],
+            "run_report": [run_report(f"bridge/rule/{row}", 1, 2, tol)
+                           for row in CONVENTION_ROWS],
         }
         for entry, reports in entry_points.items():
             rows = [r for r in reports if r.name.startswith("bridge/rule/")]
@@ -131,12 +128,12 @@ def test_reports_without_trials_are_rejected():
     with pytest.raises(ValueError):
         full_identity_suite(0, 0)
     with pytest.raises(ValueError):
-        convention_row_check("square", trials=-3)
+        run_report("bridge/rule/square", 0, -3)
 
 
 def test_convention_row_unknown():
     with pytest.raises(ValueError):
-        convention_row_check("6.5")
+        run_report("bridge/rule/6.5", 0, 200)
 
 
 def test_square_row_symmetric_spot_value():
@@ -182,5 +179,5 @@ def test_unit_and_transposer_row_fails_on_a_wrong_contraction(monkeypatch):
         return transpose2(out) if op == "ddot_cross" else out
 
     monkeypatch.setattr(tenderiv.bridge, "product", wrong)
-    report = convention_row_check("unit_and_transposer", seed=3, trials=5)
+    report = run_report("bridge/rule/unit_and_transposer", 3, 5)
     assert not report.passed

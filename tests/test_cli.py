@@ -111,6 +111,26 @@ def test_identities_output_is_pinned(tmp_path):
     assert out.read_bytes() == (DATA / "identities_seed42_trials200.json").read_bytes()
 
 
+@pytest.mark.parametrize("trials", [1, 150])
+def test_identities_trial_counts(tmp_path, trials):
+    # every report runs the requested count except the fixed and capped ones;
+    # at 200 trials, as in the pinned run, a cap of 100 and a fixed 100 agree
+    out = tmp_path / "r.json"
+    assert main(["identities", "--seed", "3", "--trials", str(trials), "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == 41
+    for r in reports:
+        if r["name"].startswith("iso/rotation-invariance/"):
+            want = 50
+        elif r["name"] == "bridge/layout-constants":
+            want = 1
+        elif r["name"] == "bridge/seq-transposer-identities":
+            want = min(trials, 100)
+        else:
+            want = trials
+        assert r["trials"] == want, r["name"]
+
+
 def test_deriv_output_is_pinned(tmp_path, capsys):
     # bytes recorded from separate `python -m tenderiv` processes; the inputs
     # are written with the standard library, not with the writer under test

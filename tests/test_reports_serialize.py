@@ -89,6 +89,15 @@ def test_dumps_rejects_nonfinite_array_entries(bad):
         dumps(matrix_obj(h[2, 1]))
 
 
+def test_dumps_rejects_objects_nested_too_deeply():
+    deep_list, deep_dict = [], {}
+    for _ in range(3000):
+        deep_list, deep_dict = [deep_list], {"a": deep_dict}
+    for obj in (deep_list, deep_dict):
+        with pytest.raises(SerializeError, match="nested too deeply"):
+            dumps(obj)
+
+
 def test_matrix_roundtrip():
     a = np.arange(9, dtype=float).reshape(3, 3) / 7.0
     assert np.array_equal(parse_matrix(json.loads(dumps(matrix_obj(a)))), a)

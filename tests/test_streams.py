@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 
 import tenderiv.bridge
-from tenderiv.bridge import check_seq_transposers, convention_row_check
+import tenderiv.suites
 from tenderiv.rng import orthogonal_tensors, report_rng, report_substream, trial_rng
+from tenderiv.suites import run_report
 
 EXPECTED_REPORTS = Path(__file__).resolve().parents[1] / "perfbench" / "expected_reports.json"
 
@@ -36,11 +37,12 @@ def test_reports_draw_different_operands(monkeypatch):
         first_draws.append(stacks[0][0])
         return stacks
 
-    monkeypatch.setattr(tenderiv.bridge, "uniform_tensors", recording)
-    convention_row_check("chain_tensor", seed=5, trials=1)
+    for module in (tenderiv.suites, tenderiv.bridge):
+        monkeypatch.setattr(module, "uniform_tensors", recording)
+    run_report("bridge/rule/chain_tensor", 5, 1)
     row_draw = first_draws[0]
     first_draws.clear()
-    check_seq_transposers(seed=5, trials=1)
+    run_report("bridge/seq-transposer-identities", 5, 1)
     assert row_draw.shape == first_draws[0].shape == (3, 3, 3, 3)
     assert not np.array_equal(row_draw, first_draws[0])
 
