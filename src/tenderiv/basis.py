@@ -8,8 +8,13 @@ functions here convert to and from components over a basis in any variance
 re-evaluate the product operations from components with explicit metric
 factors, which lets every product be checked for basis invariance.
 
-All arithmetic in the rest of the package runs on Cartesian storage; these
-conversions are inspection and verification utilities.
+Every conversion is a chain of two-operand einsum steps, each contracting one
+slot with the frame, reciprocal or metric matrix; a component product lowers
+the paired slots of its right operand one step each, then contracts by its
+SUBSCRIPTS row.  The steps share no code with algebra.product, so the
+component path stays an independent check of it.  All arithmetic in the rest
+of the package runs on Cartesian storage; these conversions are inspection
+and verification utilities.
 """
 
 import string
@@ -62,16 +67,27 @@ def make_basis(v1, v2, v3):
     return Basis(
         frame=frame,
         reciprocal=reciprocal,
-        g_lo=frame @ frame.T,
-        g_hi=reciprocal @ reciprocal.T,
+        g_lo=np.einsum("ik,jk->ij", frame, frame),
+        g_hi=np.einsum("ik,jk->ij", reciprocal, reciprocal),
     )
 
 
 def _check_variance(variance, rank):
+    if rank not in (2, 4):
+        raise ValueError(f"unsupported rank {rank}, expected 2 or 4")
     v = tuple(variance)
     if len(v) != rank or any(tag not in ("lo", "hi") for tag in v):
         raise ValueError(f"variance {variance!r} invalid for rank-{rank} tensor")
     return v
+
+
+def _slot_step(rank, axis):
+    """The einsum of one slot step: out[.., z, ..] = sum_i w[z, i] t[.., i, ..], i in slot axis."""
+    t = string.ascii_lowercase[:rank]
+    return f"z{t[axis]},{t}->{t[:axis]}z{t[axis + 1:]}"
+
+
+_SLOT_STEPS = {(rank, axis): _slot_step(rank, axis) for rank in (2, 4) for axis in range(rank)}
 
 
 def to_components(t, basis, variance):
@@ -82,55 +98,40 @@ def to_components(t, basis, variance):
     the covariant counterpart.
     """
     t = np.asarray(t, dtype=float)
-    v = _check_variance(variance, t.ndim)
-    weights = [basis.reciprocal if tag == "hi" else basis.frame for tag in v]
-    if t.ndim == 2:
-        return np.einsum("ai,bj,ij->ab", weights[0], weights[1], t)
-    if t.ndim == 4:
-        return np.einsum("ai,bj,ck,dl,ijkl->abcd", *weights, t)
-    raise ValueError(f"to_components: unsupported rank {t.ndim}")
+    for axis, tag in enumerate(_check_variance(variance, t.ndim)):
+        weights = basis.reciprocal if tag == "hi" else basis.frame
+        t = np.einsum(_SLOT_STEPS[t.ndim, axis], weights, t)
+    return t
 
 
 def from_components(comps, basis, variance):
     """Reassemble a Cartesian tensor from components; inverse of to_components."""
     comps = np.asarray(comps, dtype=float)
-    v = _check_variance(variance, comps.ndim)
-    vectors = [basis.frame if tag == "hi" else basis.reciprocal for tag in v]
-    if comps.ndim == 2:
-        return np.einsum("ab,ai,bj->ij", comps, vectors[0], vectors[1])
-    if comps.ndim == 4:
-        return np.einsum("abcd,ai,bj,ck,dl->ijkl", comps, *vectors)
-    raise ValueError(f"from_components: unsupported rank {comps.ndim}")
+    for axis, tag in enumerate(_check_variance(variance, comps.ndim)):
+        vectors = basis.frame if tag == "hi" else basis.reciprocal
+        comps = np.einsum(_SLOT_STEPS[comps.ndim, axis], vectors.T, comps)
+    return comps
 
 
 def raise_all_indices(comps, variance, basis):
     """Convert mixed-variance components to all-contravariant with the metric g_hi."""
     comps = np.asarray(comps, dtype=float)
-    v = _check_variance(variance, comps.ndim)
-    for axis, tag in enumerate(v):
+    for axis, tag in enumerate(_check_variance(variance, comps.ndim)):
         if tag == "lo":
-            comps = np.moveaxis(np.tensordot(basis.g_hi, comps, axes=(1, axis)), 0, axis)
+            comps = np.einsum(_SLOT_STEPS[comps.ndim, axis], basis.g_hi, comps)
     return comps
 
 
 def _component_form(subscripts):
     """Contravariant-component form of a Cartesian product rule.
 
-    Each index the two operands share is renamed in the right operand, and
-    the pair is joined by one factor of the covariant metric g = g_lo,
-    appended as a further operand.  The new names are the last unused
-    letters of the alphabet: einsum iterates summed indices in letter order,
-    and names that sort first make the positional forms up to twice as slow.
-    Returns the form and the number of metric factors.
+    Each slot of the right operand that shares an index with the left one is
+    lowered by one factor of the covariant metric g = g_lo; the rule itself
+    then contracts the left operand with the lowered right one.  Returns the
+    slot steps and the rule.
     """
-    inputs, out = subscripts.split("->")
-    x, y = inputs.split(",")
-    shared = [c for c in x if c in y]
-    unused = [c for c in string.ascii_lowercase if c not in subscripts]
-    rename = dict(zip(shared, unused[len(unused) - len(shared):]))
-    y = "".join(rename.get(c, c) for c in y)
-    metrics = [c + rename[c] for c in shared]
-    return ",".join([x, y, *metrics]) + "->" + out, len(shared)
+    x, y = subscripts.split("->")[0].split(",")
+    return [_SLOT_STEPS[len(y), axis] for axis, c in enumerate(y) if c in x], subscripts
 
 
 _COMPONENT_FORMS = {key: _component_form(s) for key, s in algebra.SUBSCRIPTS.items()}
@@ -141,8 +142,10 @@ def component_op(op_name, x_comps, y_comps, basis):
     key = (op_name, (x_comps.ndim, y_comps.ndim))
     if key not in _COMPONENT_FORMS:
         raise ValueError(f"component_op: no component form for {key}")
-    form, n_metrics = _COMPONENT_FORMS[key]
-    return np.einsum(form, x_comps, y_comps, *(basis.g_lo,) * n_metrics)
+    steps, form = _COMPONENT_FORMS[key]
+    for step in steps:
+        y_comps = np.einsum(step, basis.g_lo, y_comps)
+    return np.einsum(form, x_comps, y_comps)
 
 
 def verify_basis_invariance(op_name, operands, basis, variances=None, tol=1e-12):

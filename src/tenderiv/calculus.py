@@ -12,9 +12,9 @@ The finite-difference functions are deliberately independent of the analytic
 rules: they probe the evaluator componentwise with central differences and
 serve as the oracle the analytic catalog is checked against.  The step for
 component (k, p) is h = FD_STEP * max(1, |A[k,p]|).  The componentwise
-derivatives, the catalog evaluators and the analytic rules d_power,
-d_inverse, product_rule_dot and product_rule_scalar_tensor also take a stack
-of arguments along leading axes, one trial per item.
+derivatives, the catalog evaluators and the analytic rules d_invariant,
+d_power, d_inverse, product_rule_dot and product_rule_scalar_tensor also take
+a stack of arguments along leading axes, one trial per item.
 """
 
 from dataclasses import dataclass
@@ -128,14 +128,16 @@ def d_invariant(k, a):
     k = 1: I.  k = 2: tr(A) I - A^T.  k = 3: the expanded form
     (A^2)^T - tr(A) A^T + i2 I; it is total, and near a singular argument it
     keeps full precision where the compact form loses digits with det(A).
+    A stack of arguments gives one derivative per item.
     """
     if k == 1:
-        return ident2()
+        return np.broadcast_to(ident2(), np.shape(a)).copy()
     if k == 2:
-        return trace(a) * ident2() - transpose2(a)
+        return np.multiply.outer(trace(a), ident2()) - transpose2(a)
     if k == 3:
         i1, i2, _ = invariants(a)
-        return transpose2(matpow(a, 2)) - i1 * transpose2(a) + i2 * ident2()
+        return (transpose2(matpow(a, 2)) - np.expand_dims(i1, (-2, -1)) * transpose2(a)
+                + np.multiply.outer(i2, ident2()))
     raise ValueError(f"d_invariant: k must be 1, 2 or 3, got {k}")
 
 

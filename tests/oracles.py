@@ -1,7 +1,8 @@
 """Brute-force index oracles, plain-numpy checks and one-trial reference samplers.
 
 The oracles re-derive each operation directly from its index formula with
-explicit Python loops and no shared code with the package, so a test
+explicit Python loops and no shared code with the package (the basis
+oracles take the reciprocal vectors from np.linalg.inv), so a test
 comparing the two paths is a genuine dual-route check.  The checks at the end
 (directional derivative, linearization remainder, compact determinant
 derivative, characteristic polynomial) are written in plain numpy and take
@@ -219,6 +220,51 @@ def rotate4_oracle(c, q):
         for p, r, s, t in itertools.product(R, R, R, R):
             acc += q[i, p] * q[j, r] * q[k, s] * q[l, t] * c[p, r, s, t]
         out[i, j, k, l] = acc
+    return out
+
+
+def _reciprocal(frame):
+    """Reciprocal rows r^a of the frame rows r_i (r_i . r^a = d_i^a), from np.linalg.inv."""
+    return np.linalg.inv(frame).T
+
+
+def to_components_oracle(t, frame, variance):
+    """comps[a, b, ..] = sum t[i, j, ..] w[a, i] w[b, j] ..; per slot w = r^a ('hi'), r_a ('lo')."""
+    reciprocal = _reciprocal(frame)
+    out = np.zeros(t.shape)
+    for comp in itertools.product(R, repeat=t.ndim):
+        for cart in itertools.product(R, repeat=t.ndim):
+            w = 1.0
+            for a, i, tag in zip(comp, cart, variance):
+                w *= reciprocal[a, i] if tag == "hi" else frame[a, i]
+            out[comp] += w * t[cart]
+    return out
+
+
+def from_components_oracle(comps, frame, variance):
+    """t[i, j, ..] = sum comps[a, b, ..] v[a, i] v[b, j] ..; per slot v = r_a ('hi'), r^a ('lo')."""
+    reciprocal = _reciprocal(frame)
+    out = np.zeros(comps.shape)
+    for cart in itertools.product(R, repeat=comps.ndim):
+        for comp in itertools.product(R, repeat=comps.ndim):
+            w = 1.0
+            for i, a, tag in zip(cart, comp, variance):
+                w *= frame[a, i] if tag == "hi" else reciprocal[a, i]
+            out[cart] += comps[comp] * w
+    return out
+
+
+def raise_all_indices_oracle(comps, frame, variance):
+    """Each 'lo' slot raised by g^ab = r^a . r^b: out[.., a, ..] = sum_b g^ab comps[.., b, ..]."""
+    reciprocal = _reciprocal(frame)
+    g_hi = [[sum(reciprocal[a, k] * reciprocal[b, k] for k in R) for b in R] for a in R]
+    out = np.zeros(comps.shape)
+    for idx in itertools.product(R, repeat=comps.ndim):
+        for src in itertools.product(R, repeat=comps.ndim):
+            w = 1.0
+            for a, b, tag in zip(idx, src, variance):
+                w *= g_hi[a][b] if tag == "lo" else float(a == b)
+            out[idx] += w * comps[src]
     return out
 
 

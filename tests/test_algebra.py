@@ -317,6 +317,15 @@ def test_inverse_det_has_the_range_of_linalg(scale):
             inverse2(stack)
 
 
+def test_det_of_a_negative_zero_row_is_positive_zero():
+    # every term of the row-0 expansion is -0.0; the sum starts from +0.0
+    a = np.array([[-0.0, -0.0, -0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    det = inverse_det(a)[1]
+    assert det == 0.0 and not np.signbit(det)
+    with pytest.raises(SingularTensorError, match=r"det = 0\.000e\+00"):
+        inverse2(a)
+
+
 def test_inverse2_reports_the_first_singular_item():
     stack = np.eye(3) + 0.3 * random_ten2(trial_rng(113, 0)) * np.ones((6, 1, 1))
     stack[2, 2] = stack[2, 1]  # a repeated row: det exactly 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,13 +10,22 @@ from tenderiv.basis import (
     DegenerateFrameError,
     from_components,
     make_basis,
+    raise_all_indices,
     to_components,
     verify_basis_invariance,
 )
 from tenderiv.isotropic import iso_tensor
 from tenderiv.rng import trial_rng
 
-from oracles import one_hot2, random_frame, random_ten2, random_ten4
+from oracles import (
+    from_components_oracle,
+    one_hot2,
+    raise_all_indices_oracle,
+    random_frame,
+    random_ten2,
+    random_ten4,
+    to_components_oracle,
+)
 
 E1, E2, E3 = np.eye(3)
 
@@ -155,6 +165,36 @@ def test_products_are_basis_invariant(op, ranks):
         vy = tuple(rng.choice(["lo", "hi"]) for _ in range(ranks[1]))
         report = verify_basis_invariance(op, (x, y), b, (vx, vy))
         assert report.passed, f"{op}{ranks} err={report.max_abs_err:.3e}"
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_conversions_match_loop_oracles_for_every_variance(rank):
+    for t, v in enumerate(itertools.product(("lo", "hi"), repeat=rank)):
+        rng = trial_rng(209, t)
+        frame = random_frame(rng)
+        b = make_basis(*frame)
+        x = _SAMPLE[rank](rng)
+        for got, want in [
+            (to_components(x, b, v), to_components_oracle(x, frame, v)),
+            (from_components(x, b, v), from_components_oracle(x, frame, v)),
+            (raise_all_indices(x, v, b), raise_all_indices_oracle(x, frame, v)),
+        ]:
+            assert maxabs(got - want) <= 1e-13 * (1.0 + maxabs(want)), v
+
+
+# every row but outer, box and boxhat pairs an index of x with one of y
+CONTRACTING = [(op, ranks) for op, ranks in OPS_AND_RANKS if op not in ("outer", "box", "boxhat")]
+
+
+@pytest.mark.parametrize("op,ranks", CONTRACTING)
+def test_contravariant_metric_in_place_of_covariant_fails(op, ranks):
+    rng = trial_rng(210, CONTRACTING.index((op, ranks)))
+    b = make_basis(*random_frame(rng))
+    wrong = dataclasses.replace(b, g_lo=b.g_hi)
+    x, y = _SAMPLE[ranks[0]](rng), _SAMPLE[ranks[1]](rng)
+    assert verify_basis_invariance(op, (x, y), b).passed
+    report = verify_basis_invariance(op, (x, y), wrong)
+    assert not report.passed, f"{op}{ranks} err={report.max_abs_err:.3e}"
 
 
 def test_fixed_skewed_basis_seq_contraction():

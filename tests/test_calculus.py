@@ -184,6 +184,14 @@ def test_d_invariant_values():
         d_invariant(4, a)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_d_invariant_of_a_stack_equals_each_argument(k):
+    args = np.stack([random_ten2(trial_rng(427, t)) for t in range(4)])
+    got = d_invariant(k, args)
+    assert got.shape == (4, 3, 3)
+    assert np.array_equal(got, np.stack([d_invariant(k, a) for a in args]))
+
+
 def test_d_invariant_3_forms_agree():
     for t in range(100):
         a = random_invertible(trial_rng(405, t))

@@ -1,0 +1,58 @@
+"""Source checks: no BLAS or LAPACK call anywhere in the package.
+
+Every sum in tenderiv runs in an order the code fixes (algebra.product's
+kernel, the cofactor inverse, Gram-Schmidt, two-operand einsum steps), so
+its bits do not depend on the CPU or the BLAS build.  A matrix product
+operator, np.linalg or a numpy product function that may dispatch to BLAS
+would undo that silently; this walks the syntax tree of every module and
+names each such use.
+"""
+
+import ast
+from pathlib import Path
+
+import tenderiv
+
+BLAS_CALLS = {"tensordot", "matmul", "inner", "vdot"}
+
+
+def _uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Attribute) and node.attr in ("linalg", "dot") \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in BLAS_CALLS:
+                yield node.lineno, f"{name}()"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            if any(n.split(".")[-1] in BLAS_CALLS | {"linalg"} for n in names):
+                yield node.lineno, "import of " + ", ".join(names)
+
+
+def test_package_makes_no_blas_or_linalg_call():
+    found = []
+    for path in sorted(Path(tenderiv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{line}: {what}" for line, what in _uses(tree)]
+    assert not found, "\n".join(found)
+
+
+def test_the_walk_finds_each_kind_of_use():
+    source = """
+c = a @ b
+c @= b
+np.linalg.inv(a)
+np.dot(a, b)
+np.tensordot(a, b, axes=2)
+x.matmul(y)
+np.inner(a, b)
+numpy.vdot(a, b)
+from numpy.linalg import inv
+"""
+    lines = sorted(line for line, _ in _uses(ast.parse(source)))
+    assert lines == list(range(2, 11))
