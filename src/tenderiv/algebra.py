@@ -21,6 +21,8 @@ differ only in how they pair the inner basis vectors of their operands:
 All functions are pure and never mutate their arguments.
 """
 
+import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -90,48 +92,110 @@ def _plan(subscripts):
     """A row as x * y summed over the contracted labels C, both laid out as C + result.
 
     Gives, for x and for y, the flat item index of each entry of the layout
-    (1 long on the result labels the operand lacks), and |C|.
+    (1 long on the result labels the operand lacks) and the order of the
+    operand's axes in it, and |C|.
     """
     operands, out = subscripts.split("->")
     x, y = operands.split(",")
     layout = [c for c in x if c in y] + list(out)
-    indices = []
+    sides = []
     for a in (x, y):
-        axes = np.indices([DIM if c in a else 1 for c in layout])
-        indices.append(sum(DIM ** (len(a) - 1 - a.index(c)) * axis
-                           for c, axis in zip(layout, axes) if c in a))
-    return (*indices, len(layout) - len(out))
+        axes = tuple(a.index(c) for c in layout if c in a)
+        shape = tuple(DIM if c in a else 1 for c in layout)
+        index = np.arange(DIM ** len(a)).reshape((DIM,) * len(a)).transpose(axes)
+        sides.append((np.ascontiguousarray(index).reshape(shape), axes))
+    return (*sides, len(layout) - len(out))
 
 
 _PLANS = {key: _plan(s) for key, s in SUBSCRIPTS.items()}
 
-
-def _terms(a, index, rank, batch):
-    """The entries ``index`` picks from each item of a, ahead of its ``batch`` batch axes."""
-    b = a.shape[:a.ndim - rank]
-    if not batch:
-        return a.take(index)
-    # items flattened along the first axis, so that the batch axes come last
-    a = a.reshape(-1, DIM ** rank).T[index] if b else a.take(index)
-    return a.reshape(index.shape + (1,) * (batch - len(b)) + b)
+# Temporaries of more entries than this come from scratch buffers; smaller
+# ones are allocated, which costs less than the lookup.  Products whose two
+# operands' terms hold more are also summed in parts (see _summed).
+_SPLIT = 4096
 
 
-def _summed(x, y, n):
+# numpy's ufunc buffer size, in elements, while a large product sums: the
+# smallest it takes.  At its default (8192) numpy copies each broadcast
+# operand of a leaf product through a 64 kB buffer to lengthen inner loops
+# that the batch axis, innermost and contiguous, already makes long.  The
+# setting is per thread, and elementwise results do not depend on it.
+_UFUNC_BUFFER = 16
+
+
+class _Scratch(threading.local):
+    """Each thread's scratch buffers, one per (role, dtype).
+
+    The roles are product's gathered terms ("x", "y") and the partial sums of
+    each split level (0, 1, ...), and inverse_det's scaled entries and
+    gathered factors.  A buffer grows to the largest size asked of it and
+    never shrinks, so the same pages serve every call.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+
+_SCRATCH = _Scratch()
+
+
+def _scratch(role, shape, dtype):
+    """This thread's buffer for ``role`` as an uninitialized array of ``shape``.
+
+    None, for the caller to allocate, when it would hold at most _SPLIT entries.
+    """
+    size = math.prod(shape)
+    if size <= _SPLIT:
+        return None
+    buffers = _SCRATCH.buffers
+    buffer = buffers.get((role, dtype))
+    if buffer is None or buffer.size < size:
+        buffer = buffers[role, dtype] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)
+
+
+def _terms(a, side, batch, role):
+    """The entries side's index picks from each item of a, ahead of its ``batch`` batch axes.
+
+    A C-ordered copy: of a stack, in this thread's buffer for ``role`` when
+    large.
+    """
+    index, axes = side
+    lead = a.ndim - len(axes)
+    if not lead:  # one tensor
+        return a.take(index).reshape(index.shape + (1,) * batch) if batch else a.take(index)
+    # a view with the batch axes last, then copied
+    a = a.transpose((*[lead + i for i in axes], *range(lead)))
+    a = a.reshape(index.shape + (1,) * (batch - lead) + a.shape[len(axes):])
+    if a.size <= _SPLIT:
+        return a.copy()
+    out = _scratch(role, a.shape, a.dtype)
+    out[...] = a
+    return out
+
+
+def _summed(x, y, n, out=None, depth=0):
     """The sum of x * y over their n leading axes, (t0 + t1) + t2 each, the last outermost.
 
-    Large products split along the last of them: whole, the terms of two
-    128-item fourth-rank stacks take 750 kB, which cost page faults per call.
+    Written to ``out`` when given.  Large products split along the last of
+    the n axes, and sum each part after the first into a scratch buffer (one
+    per split level), so that a batched product allocates only its result:
+    whole, the terms of two 128-item fourth-rank stacks take 750 kB, and
+    temporaries that size cost page faults on every call.
     """
-    if n and x.size + y.size > 4096:
+    if n and x.size + y.size > _SPLIT:
         at = (slice(None),) * (n - 1)
-        out = _summed(x[at + (0,)], y[at + (0,)], n - 1)
+        out = _summed(x[at + (0,)], y[at + (0,)], n - 1, out, depth + 1)
+        part = _scratch(depth, out.shape, out.dtype)
         for i in (1, 2):
-            out += _summed(x[at + (i,)], y[at + (i,)], n - 1)
+            out += _summed(x[at + (i,)], y[at + (i,)], n - 1, part, depth + 1)
         return out
-    out = x * y
-    for _ in range(n):
-        out = out[0] + out[1] + out[2]
-    return out
+    if not n:
+        return np.multiply(x, y, out=out)
+    terms = x * y
+    for _ in range(n - 1):
+        terms = terms[0] + terms[1] + terms[2]
+    return np.add(terms[0] + terms[1], terms[2], out=out)
 
 
 def product(op, x, y, ranks=None):
@@ -145,7 +209,9 @@ def product(op, x, y, ranks=None):
     tensors, ``ranks = (x.ndim, y.ndim)``.  A scalar result is a float.
     No BLAS call sums the terms (see _summed): the bits do not depend on the
     CPU, and a batched product equals the stack of single products bit for
-    bit, whatever the operands' strides.
+    bit, whatever the operands' strides.  A large batched product allocates
+    only its result: its terms and partial sums go to buffers that each
+    thread keeps, so threads may call it at once.
 
     Raises RankError when the table has no row for the operand ranks or when
     an operand axis does not have length 3.
@@ -157,9 +223,17 @@ def product(op, x, y, ranks=None):
     if plan is None or x.shape[-rx:] != (DIM,) * rx or y.shape[-ry:] != (DIM,) * ry:
         raise RankError(f"{op}: unsupported operand shapes {x.shape} and {y.shape} "
                         f"for ranks {ranks}")
-    x_index, y_index, contracted = plan
+    x_side, y_side, contracted = plan
     batch = max(x.ndim - rx, y.ndim - ry)
-    out = _summed(_terms(x, x_index, rx, batch), _terms(y, y_index, ry, batch), contracted)
+    x, y = _terms(x, x_side, batch, "x"), _terms(y, y_side, batch, "y")
+    if x.size + y.size <= _SPLIT:
+        out = _summed(x, y, contracted)
+    else:  # see _UFUNC_BUFFER
+        previous = np.setbufsize(_UFUNC_BUFFER)
+        try:
+            out = _summed(x, y, contracted)
+        finally:
+            np.setbufsize(previous)
     if batch:  # the batch axes, innermost until now, back in front
         out = out.transpose((*range(out.ndim - batch, out.ndim), *range(out.ndim - batch)))
     return float(out) if out.ndim == 0 else out
@@ -304,9 +378,18 @@ def invariants(a):
     return Invariants(t1, i2, i3)
 
 
-# flat indices of the factors of cof[i, j] = a[i+1,j+1] a[i+2,j+2] - a[i+1,j+2] a[i+2,j+1]
-_COFACTOR_TERMS = np.array([[[DIM * ((i + di) % DIM) + (j + dj) % DIM for j in range(DIM)]
-                             for i in range(DIM)] for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))])
+# flat indices of the factors of adj[j, i] = a[i+1,j+1] a[i+2,j+2] - a[i+1,j+2] a[i+2,j+1],
+# the adjugate (the transposed cofactors)
+_ADJUGATE_TERMS = np.array([[[DIM * ((i + di) % DIM) + (j + dj) % DIM for i in range(DIM)]
+                             for j in range(DIM)] for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))])
+
+
+def _taken(flat, index, role):
+    """flat[..., index] for a 9-entry index, in this thread's buffer for ``role`` when large."""
+    if flat.size <= _SPLIT:
+        return flat[..., index]
+    out = _scratch(role, flat.shape[:-1] + index.shape, flat.dtype)
+    return np.take(flat, index, axis=-1, out=out, mode="clip")
 
 
 def inverse_det(a):
@@ -317,18 +400,23 @@ def inverse_det(a):
     past the float range is inf).  A singular item's inverse is not finite.
     """
     a = np.asarray(a, dtype=float)
-    m = np.abs(a)
+    m = np.abs(a, out=_scratch("scaled", a.shape, a.dtype))
     # each row's largest |entry| as the maximum of its three columns: on a stack,
     # a reduction over a length-3 axis costs about 20x more for the same bits
     e = np.frexp(np.maximum(np.maximum(m[..., 0], m[..., 1]), m[..., 2]))[1][..., None]
-    flat = np.ldexp(a, -e).reshape(a.shape[:-2] + (DIM * DIM,))
-    p, q, r, t = _COFACTOR_TERMS
+    flat = np.ldexp(a, -e, out=m).reshape(a.shape[:-2] + (DIM * DIM,))
+    p, q, r, t = _ADJUGATE_TERMS
     with np.errstate(all="ignore"):
-        # one factor gathered at a time keeps a stack's temporaries to four copies
-        cof = flat[..., p] * flat[..., q] - flat[..., r] * flat[..., t]
-        d = flat[..., :DIM] * cof[..., 0, :]
+        # in place, the other factors gathered one at a time
+        adj = flat[..., p]
+        adj *= _taken(flat, q, "factor")
+        minor = _taken(flat, r, "minor")
+        minor *= _taken(flat, t, "factor")
+        adj -= minor
+        d = flat[..., :DIM] * adj[..., 0]
         det = 0.0 + d[..., 0] + d[..., 1] + d[..., 2]  # from +0.0, as .sum: -0.0 terms give +0.0
-        return (np.ldexp(transpose2(cof) / det[..., None, None], -transpose2(e)),
+        adj /= det[..., None, None]
+        return (np.ldexp(adj, -transpose2(e), out=adj),
                 np.ldexp(det, (e[..., 0, 0] + e[..., 1, 0]) + e[..., 2, 0]))
 
 

@@ -15,7 +15,8 @@ operand and trial would give them (the one-trial reference samplers in
 block size.
 """
 
-import hashlib
+# hashlib.blake2b itself, without the OpenSSL bindings that import hashlib loads
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -30,7 +31,7 @@ def trial_rng(seed, substream=0):
 
 def report_substream(name):
     """Stable 64-bit substream of a report name: its 8-byte BLAKE2b digest."""
-    return int.from_bytes(hashlib.blake2b(name.encode(), digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(name.encode(), digest_size=8).digest(), "big")
 
 
 def report_rng(seed, name):

@@ -1,9 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tenderiv.algebra
 from tenderiv.algebra import (
+    SUBSCRIPTS,
     RankError,
     SingularTensorError,
     box,
@@ -21,6 +24,7 @@ from tenderiv.algebra import (
     pos_ddot_left,
     pos_ddot_right,
     pos_dot,
+    product,
     transpose2,
     transpose4,
 )
@@ -409,3 +413,50 @@ def test_cross_is_seq_through_c2(ranks):
         ref = np.asarray(ddot_cross(x, y))
         assert maxabs(np.asarray(ddot_seq(ddot_seq(x, C2), y)) - ref) <= tol
         assert maxabs(np.asarray(ddot_seq(x, ddot_seq(C2, y))) - ref) <= tol
+
+
+# ---------------------------------------------------------------------------
+# batched kernel memory
+# ---------------------------------------------------------------------------
+
+def _scratch_buffers():
+    return list(tenderiv.algebra._SCRATCH.buffers.values())
+
+
+@pytest.mark.parametrize("n", [19, 128])
+def test_product_results_own_their_memory(n):
+    rng = trial_rng(120, n)
+    operands = {rank: rng.uniform(-1.0, 1.0, (2, n) + (3,) * rank) for rank in (2, 4)}
+    kept = []
+    previous = None
+    for op, (rx, ry) in SUBSCRIPTS:
+        x, y = operands[rx][0], operands[ry][1]
+        out = product(op, x, y, (rx, ry))
+        assert out.shape[0] == n
+        for other in [x, y, *_scratch_buffers()] + ([] if previous is None else [previous]):
+            assert not np.shares_memory(out, other), (op, rx, ry)
+        previous = out
+        if len(kept) < 2:
+            kept.append((out, out.copy()))
+    # the first two results stay as they were through every later call
+    for out, copy in kept:
+        assert np.array_equal(out, copy)
+    inverse, det = inverse_det(operands[2][0])
+    assert not np.shares_memory(inverse, operands[2][0])
+    assert not np.shares_memory(det, operands[2][0])
+
+
+def test_batched_product_allocates_only_its_result():
+    rng = trial_rng(121, 0)
+    x, y = rng.uniform(-1.0, 1.0, (2, 128, 3, 3, 3, 3))
+    product("ddot_seq", x, y, (4, 4))  # grows the scratch buffers
+    # tracemalloc sees numpy's data allocations; the slack is a few small
+    # Python objects (views, tuples)
+    tracemalloc.start()
+    try:
+        out = product("ddot_seq", x, y, (4, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 128 * 81 * 8
+    assert peak <= out.nbytes + 8192, peak

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import tenderiv.cli
 from tenderiv.cli import main
 from tenderiv.isotropic import iso_tensor
 from tenderiv.serialize import dumps, matrix_obj, parse_tensor4, tensor4_obj
+from tenderiv.suites import full_identity_suite
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(tenderiv.cli.__file__).resolve().parents[1]
@@ -109,6 +111,32 @@ def test_identities_output_is_pinned(tmp_path):
     out = tmp_path / "r.json"
     assert main(["identities", "--seed", "42", "--trials", "200", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "identities_seed42_trials200.json").read_bytes()
+
+
+def test_identities_bytes_do_not_depend_on_python_threads():
+    # suites at once, one per thread (more threads than cores, switched often),
+    # each with its own kernel scratch
+    seeds = (42, 7, 42, 7)
+    serial = {seed: dumps(full_identity_suite(seed, 200).to_obj()) for seed in set(seeds)}
+    assert serial[42] == (DATA / "identities_seed42_trials200.json").read_text()
+    start, threaded = threading.Barrier(len(seeds)), [None] * len(seeds)
+
+    def run(k):
+        start.wait(timeout=60)
+        threaded[k] = dumps(full_identity_suite(seeds[k], 200).to_obj())
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert threaded == [serial[seed] for seed in seeds]
 
 
 @pytest.mark.parametrize("trials", [1, 150])

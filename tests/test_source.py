@@ -1,4 +1,4 @@
-"""Source checks: no BLAS or LAPACK call anywhere in the package.
+"""Source checks: no BLAS or LAPACK call and no allocator tuning anywhere in the package.
 
 Every sum in tenderiv runs in an order the code fixes (algebra.product's
 kernel, the cofactor inverse, Gram-Schmidt, two-operand einsum steps), so
@@ -6,6 +6,10 @@ its bits do not depend on the CPU or the BLAS build.  A matrix product
 operator, np.linalg or a numpy product function that may dispatch to BLAS
 would undo that silently; this walks the syntax tree of every module and
 names each such use.
+
+The batched kernel is fast because it reuses its own buffers; glibc settings
+(mallopt through ctypes, MALLOC_* variables) would hide a regression there,
+so no file under src/ may name them.
 """
 
 import ast
@@ -14,6 +18,8 @@ from pathlib import Path
 import tenderiv
 
 BLAS_CALLS = {"tensordot", "matmul", "inner", "vdot"}
+ALLOCATOR_TUNING = (b"mallopt", b"ctypes", b"MALLOC_")
+SRC = Path(tenderiv.__file__).resolve().parents[1]
 
 
 def _uses(tree):
@@ -56,3 +62,13 @@ from numpy.linalg import inv
 """
     lines = sorted(line for line, _ in _uses(ast.parse(source)))
     assert lines == list(range(2, 11))
+
+
+def test_source_does_not_tune_the_allocator():
+    found = []
+    for path in sorted(SRC.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            for n, line in enumerate(path.read_bytes().splitlines(), 1):
+                found += [f"{path.relative_to(SRC)}:{n}: {word.decode()}"
+                          for word in ALLOCATOR_TUNING if word in line]
+    assert not found, "\n".join(found)

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -17,6 +21,23 @@ def test_report_substreams_are_distinct():
     assert len(names) == 41
     for a, b in combinations(names, 2):
         assert report_substream(a) != report_substream(b), (a, b)
+
+
+def test_report_substream_is_the_blake2b_digest():
+    for name in ("bridge/rule/chain_tensor", "bridge/rule/inverse", "algebra/cross-via-seq-4x4"):
+        digest = hashlib.blake2b(name.encode(), digest_size=8).digest()
+        assert report_substream(name) == int.from_bytes(digest, "big"), name
+
+
+def test_import_does_not_load_openssl():
+    # hashlib would load OpenSSL's libcrypto (_hashlib) for one blake2b call
+    src = Path(tenderiv.suites.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, tenderiv, tenderiv.cli; print('_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_report_rng_is_keyed_by_seed_and_name():
