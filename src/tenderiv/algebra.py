@@ -124,12 +124,16 @@ _UFUNC_BUFFER = 16
 
 
 class _Scratch(threading.local):
-    """Each thread's scratch buffers, one per (role, dtype).
+    """Each thread's pool of scratch buffers, one per (role, dtype).
 
-    The roles are product's gathered terms ("x", "y") and the partial sums of
-    each split level (0, 1, ...), and inverse_det's scaled entries and
-    gathered factors.  A buffer grows to the largest size asked of it and
-    never shrinks, so the same pages serve every call.
+    product and inverse_det share the pool's four roles, 0 to 3: neither
+    calls the other and neither returns a view of a buffer, so their uses
+    never overlap.  product gathers its operands' terms into roles 0 and 1
+    and keeps the partial sums of split level d in role 2 + d (no row
+    contracts more than two labels); inverse_det keeps its scaled entries in
+    role 0 and its gathered factors in roles 1 and 2.  A buffer grows to the
+    largest size asked of it and never shrinks, so the same pages serve
+    every call.
     """
 
     def __init__(self):
@@ -186,7 +190,7 @@ def _summed(x, y, n, out=None, depth=0):
     if n and x.size + y.size > _SPLIT:
         at = (slice(None),) * (n - 1)
         out = _summed(x[at + (0,)], y[at + (0,)], n - 1, out, depth + 1)
-        part = _scratch(depth, out.shape, out.dtype)
+        part = _scratch(2 + depth, out.shape, out.dtype)
         for i in (1, 2):
             out += _summed(x[at + (i,)], y[at + (i,)], n - 1, part, depth + 1)
         return out
@@ -225,7 +229,7 @@ def product(op, x, y, ranks=None):
                         f"for ranks {ranks}")
     x_side, y_side, contracted = plan
     batch = max(x.ndim - rx, y.ndim - ry)
-    x, y = _terms(x, x_side, batch, "x"), _terms(y, y_side, batch, "y")
+    x, y = _terms(x, x_side, batch, 0), _terms(y, y_side, batch, 1)
     if x.size + y.size <= _SPLIT:
         out = _summed(x, y, contracted)
     else:  # see _UFUNC_BUFFER
@@ -400,7 +404,7 @@ def inverse_det(a):
     past the float range is inf).  A singular item's inverse is not finite.
     """
     a = np.asarray(a, dtype=float)
-    m = np.abs(a, out=_scratch("scaled", a.shape, a.dtype))
+    m = np.abs(a, out=_scratch(0, a.shape, a.dtype))
     # each row's largest |entry| as the maximum of its three columns: on a stack,
     # a reduction over a length-3 axis costs about 20x more for the same bits
     e = np.frexp(np.maximum(np.maximum(m[..., 0], m[..., 1]), m[..., 2]))[1][..., None]
@@ -409,9 +413,9 @@ def inverse_det(a):
     with np.errstate(all="ignore"):
         # in place, the other factors gathered one at a time
         adj = flat[..., p]
-        adj *= _taken(flat, q, "factor")
-        minor = _taken(flat, r, "minor")
-        minor *= _taken(flat, t, "factor")
+        adj *= _taken(flat, q, 1)
+        minor = _taken(flat, r, 2)
+        minor *= _taken(flat, t, 1)
         adj -= minor
         d = flat[..., :DIM] * adj[..., 0]
         det = 0.0 + d[..., 0] + d[..., 1] + d[..., 2]  # from +0.0, as .sum: -0.0 terms give +0.0

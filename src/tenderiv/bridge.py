@@ -126,11 +126,22 @@ def _row_unit_and_transposer(rng, n):
     ]) / (1.0 + maxabs(a, 2))
 
 
+def _fd_error(name, a, analytic):
+    """Normalized distance of the FD oracle of catalog entry ``name`` from ``analytic``.
+
+    The rows call it before they build their other forms, so that none of
+    those is alive beside its 19-point stencils, the largest arrays of a block.
+    """
+    fd = fd_tensor_derivative(_CATALOG[name], a)
+    return maxabs(fd - analytic, 4) / (1.0 + maxabs(analytic, 4))
+
+
 def _row_square(rng, n):
     (a,) = uniform_tensors(rng, n, 2)
     eye = ident2()
     c1 = iso_tensor("I")
     analytic = d_power(2, a)
+    fd_err = _fd_error("square", a, analytic)
     interleaved = product("box", a, eye, R22) + product("box", eye, transpose2(a), R22)
     nested = product("dot", c1, a, R42) + product("dot", a, c1, R24)
     scale = 1.0 + maxabs(a, 2)
@@ -138,14 +149,14 @@ def _row_square(rng, n):
         maxabs(interleaved - analytic, 4),
         maxabs(nested - to_nested_layout(analytic), 4),
     ) / scale
-    fd = fd_tensor_derivative(_CATALOG["square"], a)
-    return np.maximum(err, maxabs(fd - analytic, 4) / (1.0 + maxabs(analytic, 4)))
+    return np.maximum(err, fd_err)
 
 
 def _row_inverse(rng, n):
     a = near_identity(uniform_tensors(rng, n, 2)[0])
     b = inverse2(a)
     analytic = d_inverse(a)
+    fd_err = _fd_error("inverse", a, analytic)
     interleaved = -product("box", b, transpose2(b), R22)
     nested = -product("outer", b, b, R22)
     scale = 1.0 + maxabs(b, 2) ** 2
@@ -153,8 +164,7 @@ def _row_inverse(rng, n):
         maxabs(interleaved - analytic, 4),
         maxabs(nested - to_nested_layout(analytic), 4),
     ) / scale
-    fd = fd_tensor_derivative(_CATALOG["inverse"], a)
-    return np.maximum(err, maxabs(fd - analytic, 4) / (1.0 + maxabs(analytic, 4)))
+    return np.maximum(err, fd_err)
 
 
 def _row_scalar_times_tensor(rng, n):

@@ -65,6 +65,11 @@ class TensorFunction:
 
 _STENCIL = 1 + 2 * DIM * DIM
 
+# the stencil points that move flat component c = DIM * k + p of the argument:
+# point 1 + 2c by +h, point 2 + 2c by -h
+_COMPONENTS = np.arange(DIM * DIM)
+_PLUS, _MINUS = 1 + 2 * _COMPONENTS, 2 + 2 * _COMPONENTS
+
 
 def _stencil_point(j):
     """Point j of an argument's FD stencil: the base point, then (+h, -h) per component."""
@@ -86,12 +91,10 @@ def _central_differences(fn, a, value_shape):
     batch = a.shape[:-2]
     h = FD_STEP * np.maximum(1.0, np.abs(a))
     stencil = np.broadcast_to(a[..., None, :, :], batch + (_STENCIL, DIM, DIM)).copy()
-    # probes[..., k, p, s] is a with component (k, p) moved by +h (s = 0) or -h (s = 1)
-    probes = stencil[..., 1:, :, :].reshape(batch + (DIM, DIM, 2, DIM, DIM))
-    for k in range(DIM):
-        for p in range(DIM):
-            probes[..., k, p, 0, k, p] = a[..., k, p] + h[..., k, p]
-            probes[..., k, p, 1, k, p] = a[..., k, p] - h[..., k, p]
+    points = stencil.reshape(batch + (_STENCIL, DIM * DIM))
+    flat_a, flat_h = a.reshape(batch + (DIM * DIM,)), h.reshape(batch + (DIM * DIM,))
+    points[..., _PLUS, _COMPONENTS] = flat_a + flat_h
+    points[..., _MINUS, _COMPONENTS] = flat_a - flat_h
     try:
         values = fn.func(stencil.reshape((-1, DIM, DIM)))
     except SingularTensorError as exc:

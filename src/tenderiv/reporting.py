@@ -6,10 +6,14 @@ import numpy as np
 
 from .rng import report_rng
 
-# Trials evaluated together by fuzz_report: large enough that one call per
-# product per block outweighs the Python overhead, small enough to keep the
-# block's operands and temporaries within a few hundred kilobytes.
-BLOCK = 128
+# Trials evaluated together by fuzz_report.  Each block costs a report about
+# 90 us of Python calls and short numpy loops whatever its size, so larger
+# blocks run faster; memory sets the limit.  The largest stacks are the
+# 19-point finite-difference stencils of the bridge rule rows, and they size
+# algebra's scratch pool: four buffers of at most 19 * 9 * BLOCK doubles,
+# 1.4 MB at 256.  A block of 512 ran the suite about 12% faster again but
+# raised peak memory by 13%.
+BLOCK = 256
 
 
 @dataclass(frozen=True)

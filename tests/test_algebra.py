@@ -446,6 +446,19 @@ def test_product_results_own_their_memory(n):
     assert not np.shares_memory(det, operands[2][0])
 
 
+def test_inverse_det_results_own_their_memory():
+    # 19 x 256 items, as in a finite-difference block: past _SPLIT, so
+    # inverse_det works in the scratch pool that product uses too
+    stack = np.eye(3) + 0.3 * trial_rng(122, 0).uniform(-1.0, 1.0, (19 * 256, 3, 3))
+    inverse, det = inverse_det(stack)
+    kept = inverse.copy(), det.copy()
+    for out in (inverse, det):
+        for other in [stack, *_scratch_buffers()]:
+            assert not np.shares_memory(out, other)
+    product("dot", stack, stack, (2, 2))  # reuses the pool
+    assert np.array_equal(inverse, kept[0]) and np.array_equal(det, kept[1])
+
+
 def test_batched_product_allocates_only_its_result():
     rng = trial_rng(121, 0)
     x, y = rng.uniform(-1.0, 1.0, (2, 128, 3, 3, 3, 3))

@@ -6,10 +6,14 @@ one-trial samplers of the oracles and the unbatched public operations, so a bloc
 boundary, a draw-order slip or a regrouped sum shows up as a bit difference.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+import tenderiv.algebra
 import tenderiv.bridge
+import tenderiv.reporting
 import tenderiv.rng
 import tenderiv.suites
 from tenderiv.algebra import (
@@ -34,7 +38,8 @@ from tenderiv.calculus import catalog, d_inverse, fd_tensor_derivative
 from tenderiv.isotropic import iso_tensor, rotate4
 from tenderiv.reporting import BLOCK, fuzz_report
 from tenderiv.rng import report_rng, trial_rng
-from tenderiv.suites import REPORTS
+from tenderiv.serialize import dumps
+from tenderiv.suites import REPORTS, full_identity_suite
 
 from oracles import (
     box_oracle,
@@ -56,7 +61,10 @@ TOL = 1e-12
 I = ident2()
 C1, C2 = iso_tensor("I"), iso_tensor("II")
 CAT = catalog()
-TRIAL_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+# one trial; a single partial block of about half a block; a block less one,
+# whole and plus one; and one or two whole blocks then a short partial one
+HALF = BLOCK // 2
+TRIAL_COUNTS = [1, HALF - 1, HALF, HALF + 1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 3, 2 * BLOCK + 3]
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +119,7 @@ def ref_rotation_ii(rng):
         for i in [*range(j)] * 2:
             q[:, j] = q[:, j] - np.sum(q[:, i] * q[:, j]) * q[:, i]
         q[:, j] = q[:, j] / np.sqrt(np.sum(q[:, j] * q[:, j]))
-    return max(maxabs(rotate4(C2, q) - C2), maxabs(q @ I @ q.T - I))
+    return max(maxabs(rotate4(C2, q) - C2), maxabs(dot(q, q.T) - I))  # q . I is q exactly
 
 
 def ref_rank4_contraction(rng):
@@ -181,6 +189,32 @@ def test_blocks_match_one_trial_at_a_time(trial_functions, name, trials):
     assert sizes == [BLOCK] * (trials // BLOCK) + ([trials % BLOCK] if trials % BLOCK else [])
     assert got.shape == (trials,)
     assert np.array_equal(got, want), np.flatnonzero(got != want)
+
+
+def test_suite_bytes_do_not_depend_on_the_block_size(monkeypatch):
+    texts = []
+    for block in (128, BLOCK, 97):
+        monkeypatch.setattr(tenderiv.reporting, "BLOCK", block)
+        texts.append(dumps(full_identity_suite(7, 600).to_obj()))
+    assert texts[1] == texts[0]
+    assert texts[2] == texts[0]
+
+
+def test_suite_scratch_pool_holds_only_the_shared_roles():
+    # a fresh thread starts with an empty pool
+    pool = {}
+
+    def run():
+        full_identity_suite(7, 2 * BLOCK + 3)
+        pool.update(tenderiv.algebra._SCRATCH.buffers)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert {role for role, _ in pool} == {0, 1, 2, 3}
+    # the largest stacks: 19-point FD stencils of a block of second-rank arguments
+    assert sum(buffer.nbytes for buffer in pool.values()) <= 4 * 19 * 9 * BLOCK * 8
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -268,7 +302,7 @@ def views(a, rank):
     return found
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 7, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 2, 5, 7, HALF, HALF + 1, BLOCK, BLOCK + 1])
 @pytest.mark.parametrize("key", sorted(SUBSCRIPTS))
 def test_batched_product_equals_stacked_single_products(key, n):
     op, ranks = key

@@ -5,7 +5,9 @@ kernel, the cofactor inverse, Gram-Schmidt, two-operand einsum steps), so
 its bits do not depend on the CPU or the BLAS build.  A matrix product
 operator, np.linalg or a numpy product function that may dispatch to BLAS
 would undo that silently; this walks the syntax tree of every module and
-names each such use.
+names each such use.  The one-trial references of test_blocks.py compare
+bits with the package, so they are walked too; the np.linalg oracles of
+oracles.py compare within a tolerance and are exempt.
 
 The batched kernel is fast because it reuses its own buffers; glibc settings
 (mallopt through ctypes, MALLOC_* variables) would hide a regression there,
@@ -20,6 +22,7 @@ import tenderiv
 BLAS_CALLS = {"tensordot", "matmul", "inner", "vdot"}
 ALLOCATOR_TUNING = (b"mallopt", b"ctypes", b"MALLOC_")
 SRC = Path(tenderiv.__file__).resolve().parents[1]
+BIT_EXACT_REFERENCES = Path(__file__).resolve().with_name("test_blocks.py")
 
 
 def _uses(tree):
@@ -40,11 +43,21 @@ def _uses(tree):
                 yield node.lineno, "import of " + ", ".join(names)
 
 
-def test_package_makes_no_blas_or_linalg_call():
+def _blas_uses(paths):
     found = []
-    for path in sorted(Path(tenderiv.__file__).parent.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text())
         found += [f"{path.name}:{line}: {what}" for line, what in _uses(tree)]
+    return found
+
+
+def test_package_makes_no_blas_or_linalg_call():
+    found = _blas_uses(sorted(Path(tenderiv.__file__).parent.glob("*.py")))
+    assert not found, "\n".join(found)
+
+
+def test_bit_exact_references_make_no_blas_or_linalg_call():
+    found = _blas_uses([BIT_EXACT_REFERENCES])
     assert not found, "\n".join(found)
 
 
