@@ -17,6 +17,8 @@ of the package runs on Cartesian storage; these conversions are inspection
 and verification utilities.
 """
 
+import itertools
+import math
 import string
 from dataclasses import dataclass
 
@@ -53,12 +55,16 @@ def make_basis(v1, v2, v3):
     The reciprocal vectors are the rows of the inverse-transposed frame
     matrix, which enforces r_i . r^j = d_i^j exactly up to rounding.
 
-    Raises DegenerateFrameError when the triple product of the frame is
-    smaller than DET_FLOOR in magnitude, the floor below which inverse2
-    refuses a tensor.
+    Raises ValueError when the arguments are not three finite 3-vectors, and
+    DegenerateFrameError when the triple product of the frame is smaller
+    than DET_FLOOR in magnitude, the floor below which inverse2 refuses a
+    tensor.
     """
-    frame = np.array([v1, v2, v3], dtype=float)
-    if frame.shape != (DIM, DIM) or not np.all(np.isfinite(frame)):
+    try:
+        frame = np.array([v1, v2, v3], dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, past the float range
+        frame = None
+    if frame is None or frame.shape != (DIM, DIM) or not np.isfinite(frame).all():
         raise ValueError("make_basis: expected three finite 3-vectors")
     inverse, triple = inverse_det(frame)
     if abs(triple) < DET_FLOOR:
@@ -72,11 +78,19 @@ def make_basis(v1, v2, v3):
     )
 
 
+# every valid variance of each supported rank, as a tuple of tags
+_VARIANCES = {rank: frozenset(itertools.product(("lo", "hi"), repeat=rank)) for rank in (2, 4)}
+
+
 def _check_variance(variance, rank):
-    if rank not in (2, 4):
+    if rank not in _VARIANCES:
         raise ValueError(f"unsupported rank {rank}, expected 2 or 4")
     v = tuple(variance)
-    if len(v) != rank or any(tag not in ("lo", "hi") for tag in v):
+    try:
+        valid = v in _VARIANCES[rank]
+    except TypeError:  # an unhashable tag
+        valid = False
+    if not valid:
         raise ValueError(f"variance {variance!r} invalid for rank-{rank} tensor")
     return v
 
@@ -156,7 +170,8 @@ def verify_basis_invariance(op_name, operands, basis, variances=None, tol=1e-12)
     component formula of the operation and reassembles the result. The
     reported error is normalized by the magnitude of the component-path
     intermediates (component infinity-norms and the metric), so ``tol`` is a
-    pure rounding allowance.
+    pure rounding allowance.  A normalization or an error that is not finite
+    counts as a non-finite trial, which fails the report.
     """
     x, y = operands
     x = np.asarray(x, dtype=float)
@@ -177,12 +192,17 @@ def verify_basis_invariance(op_name, operands, basis, variances=None, tol=1e-12)
         reassembled = from_components(rc, basis, ("hi",) * rc.ndim)
         err = maxabs(cartesian - reassembled)
 
-    g_mag = max(1.0, maxabs(basis.g_lo))
-    scale = 1.0 + maxabs(xc) * maxabs(yc) * g_mag**2
+    g_mag = max(maxabs(basis.g_lo), 1.0)  # a NaN metric entry stays NaN
+    try:
+        scale = 1.0 + maxabs(xc) * maxabs(yc) * g_mag**2
+    except OverflowError:
+        scale = math.inf
+    # past the float range the normalization would pass any error as 0
+    error = err / scale if math.isfinite(scale) else math.nan
     return CheckReport.from_measurement(
         f"basis/{op_name}",
         trials=1,
-        errors=err / scale,
+        errors=error,
         tol=tol,
         seed=0,
     )

@@ -297,6 +297,39 @@ def test_inverse_det_matches_linalg_on_well_conditioned_stacks():
         single_inverse, single_det = inverse_det(stack[t])
         assert np.array_equal(single_inverse, inverse[t]) and single_det == det[t]
         assert np.array_equal(inverse2(stack[t]), inverse[t])
+    # also where one tensor is passed on to the stack path: a det or an
+    # unscaling past the float range, det 0, and entries that are not finite
+    base = stack[17]
+    rows = np.array([[1e300], [1.0], [1e-300]])
+    subnormal = base.copy()
+    subnormal[1] *= 5e-324
+    subnormal[2, 0] = -2.5e-310
+    adversarial = [
+        rows * base, rows[::-1] * base,
+        np.array([[1e300], [1e300], [1.0]]) * base,  # det 1e600
+        np.array([[1e-300], [1e-300], [1.0]]) * base,  # det 1e-600, inverse 1e300
+        np.vstack([np.full(3, -0.0), base[1:]]), subnormal,
+        base[[0, 1, 1]], 1e-300 * base[[2, 0, 2]],  # a repeated row: det exactly 0
+    ]
+    for value in (np.inf, -np.inf, np.nan):
+        for at in ((0, 0), (1, 2), (2, 1)):
+            adversarial.append(base.copy())
+            adversarial[-1][at] = value
+    adversarial.append(np.full((3, 3), np.nan))
+    for a in adversarial:
+        single_inverse, single_det = inverse_det(a)
+        stack_inverse, stack_det = inverse_det(a[None])
+        assert single_inverse.tobytes() == stack_inverse[0].tobytes()
+        assert np.float64(single_det).tobytes() == stack_det[0].tobytes()
+        try:
+            want = inverse2(a[None])[0]
+        except SingularTensorError as stack_error:
+            with pytest.raises(SingularTensorError) as err:
+                inverse2(a)
+            assert str(err.value) == str(stack_error)
+            assert err.value.index == stack_error.index == 0
+        else:
+            assert inverse2(a).tobytes() == want.tobytes()
 
 
 # a scale per row: the wide stack's rows differ by 1e260, so scaling each

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,27 @@ def test_degenerate_frame_raises():
     with pytest.raises(DegenerateFrameError) as err:
         make_basis(E1, E1, E3)
     assert err.value.triple_product == 0.0
+
+
+def test_make_basis_rejects_what_is_not_three_finite_3_vectors():
+    message = "make_basis: expected three finite 3-vectors"
+    for vectors in [
+        ([10**400, 0, 0], E2, E3),  # past the float range
+        ([1, 0, 0], [0, 1], [0, 0, 1]),  # ragged
+        ([1, 0, 0], [0, np.nan, 0], [0, 0, 1]),
+        (E1, E2, [0, 0, np.inf]),
+        (E1, E2, 3.0),
+        (E1, E2, [0, 0, 1, 0]),
+        (E1, E2, ["a", "b", "c"]),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            make_basis(*vectors)
+    # a triple product just below the floor is degenerate; the floor itself is not
+    below = np.nextafter(algebra.DET_FLOOR, 0.0)
+    with pytest.raises(DegenerateFrameError) as err:
+        make_basis(E1, E2, [0, 0, below])
+    assert err.value.triple_product == below
+    assert make_basis(E1, E2, [0, 0, algebra.DET_FLOOR]).g_lo[2, 2] > 0.0
 
 
 def test_reciprocal_frame_and_triple_product_match_linalg():
@@ -230,3 +252,36 @@ def test_unknown_operation_rejected():
         to_components(np.eye(3), b, ("up", "dn"))
     with pytest.raises(ValueError):
         to_components(one_hot2(0, 0), b, ("lo",))
+    for t, variance, message in [
+        (np.eye(3), "hi", "variance 'hi' invalid for rank-2 tensor"),
+        (np.eye(3), ("hi",), "variance ('hi',) invalid for rank-2 tensor"),
+        (np.eye(3), (["hi"], "lo"), "variance (['hi'], 'lo') invalid for rank-2 tensor"),
+        (np.zeros((3, 3, 3)), ("hi",) * 3, "unsupported rank 3, expected 2 or 4"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            to_components(t, b, variance)
+        assert str(err.value) == message
+    assert np.array_equal(to_components(np.eye(3), b, ["hi", "lo"]), np.eye(3))
+
+
+# the covariant metric grows as the square of the frame scale, and the error
+# normalization as its square again: past a frame scale of about 1e77 it is
+# beyond the float range
+@pytest.mark.parametrize("op,ranks", OPS_AND_RANKS)
+def test_invariance_reports_over_frame_scales(op, ranks):
+    rng = trial_rng(211, OPS_AND_RANKS.index((op, ranks)))
+    frame = random_frame(rng)
+    x, y = _SAMPLE[ranks[0]](rng), _SAMPLE[ranks[1]](rng)
+    variances = [(("hi",) * ranks[0], ("lo",) * ranks[1]), (("lo",) * ranks[0], ("hi",) * ranks[1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent in range(-2, 151, 4):
+            b = make_basis(*(10.0**exponent * frame))
+            for variance in variances:
+                report = verify_basis_invariance(op, (x, y), b, variance)
+                if exponent <= 70:
+                    assert report.passed, (exponent, variance, report)
+                elif exponent >= 80:  # never passes an error as 0
+                    assert (report.passed, report.nonfinite) == (False, 1), (exponent, report)
+                else:
+                    assert report.passed or report.nonfinite == 1, (exponent, report)
