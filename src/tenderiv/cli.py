@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import SingularTensorError, maxabs
 from .bridge import to_nested_layout, to_trailing_layout
 from .calculus import DomainError, catalog, fd_scalar_derivative, fd_tensor_derivative
-from .serialize import SerializeError, dumps, load_json, matrix_obj, parse_matrix, parse_tensor4, tensor4_obj
+from .serialize import SerializeError, dumps, load_json, parse_matrix, parse_tensor4
 from .suites import full_identity_suite
 
 SEED_ENV_VAR = "TENDERIV_SEED"
@@ -71,7 +71,7 @@ def cmd_identities(args):
 
 
 def _finite(what, value):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise DomainError(f"{what} is not finite at this argument")
     return value
 
@@ -90,17 +90,17 @@ def cmd_deriv(args):
         return _usage_error(str(exc))
 
     fn = _CATALOG[args.fn]
-    as_obj = matrix_obj if fn.kind == "scalar" else tensor4_obj
+    key = "matrix" if fn.kind == "scalar" else "tensor4"
     fd_derivative = fd_scalar_derivative if fn.kind == "scalar" else fd_tensor_derivative
-    payload = {"fn": fn.name, "kind": fn.kind, "at": matrix_obj(at)}
+    payload = {"fn": fn.name, "kind": fn.kind, "at": {"matrix": at}}
     try:
         # overflow shows up as a non-finite result, reported as a domain error
         with np.errstate(all="ignore"):
             analytic = _finite("derivative", fn.deriv(at))
-            payload["derivative"] = as_obj(analytic)
+            payload["derivative"] = {key: analytic}
             if args.fd_check:
                 fd = _finite("finite-difference derivative", fd_derivative(fn, at))
-                payload["fd"] = as_obj(fd)
+                payload["fd"] = {key: fd}
                 payload["fd_max_abs_err"] = _finite("fd_max_abs_err", maxabs(fd - analytic))
     except (DomainError, SingularTensorError) as exc:
         payload["error"] = {"type": "domain-error", "message": str(exc)}
@@ -119,11 +119,12 @@ def cmd_convert(args):
     except SerializeError as exc:
         return _usage_error(str(exc))
     converted = _DIRECTIONS[args.direction](tensor)
-    _emit(dumps(tensor4_obj(converted)), args.out)
+    _emit(dumps({"tensor4": converted}), args.out)
     return 0
 
 
 def build_parser():
+    """The full parser, and a table from each command name to that command's own parser."""
     parser = argparse.ArgumentParser(
         prog="tenderiv",
         description="Verify tensor-calculus identities and compute derivatives "
@@ -157,18 +158,31 @@ def build_parser():
     p_cv.add_argument("--tensor", required=True, help='path to the {"tensor4": ...} JSON')
     p_cv.add_argument("--out", default=None, help="write the JSON result to this path")
     p_cv.set_defaults(run=cmd_convert)
-    return parser
+    return parser, {"identities": p_id, "deriv": p_dv, "convert": p_cv}
 
 
-_parser = None  # built by the first main call, then reused
+def _parse(parser, commands, argv):
+    """Parse argv as the full parser does, scanning it once when argv[0] names a command."""
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, -h, or an unknown command
+        return parser.parse_args(argv)
+    # the full parser hands every token after the command to this parser and
+    # then rejects what it left over with its own usage line
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+_parsers = None  # build_parser's pair, built by the first main call, then reused
 
 
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    global _parsers
+    if _parsers is None:
+        _parsers = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse(*_parsers, sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; normalize other codes
         return int(exc.code) if exc.code else 0

@@ -83,6 +83,13 @@ def _write(obj, parts, level):
             _write(value, parts, level + 1)
             parts.append(",\n" if n < len(obj) - 1 else "\n")
         parts.append(pad + "]")
+    elif type(obj) is np.ndarray and obj.dtype == np.float64 and obj.ndim and obj.size:
+        # the bytes of obj.tolist(), from the shape the array already knows
+        values = obj.ravel().tolist()
+        if not np.isfinite(obj).all():
+            for value in values:
+                format_float(value)  # raises at the first non-finite entry
+        parts.append(_template(obj.shape, level, "{:.17g}").format(*values))
     else:
         parts.append(_scalar(obj))
 
@@ -102,7 +109,12 @@ def _scalar(obj):
 
 
 def dumps(obj):
-    """Deterministic JSON text with 17-significant-digit floats."""
+    """Deterministic JSON text with 17-significant-digit floats.
+
+    A float64 ndarray with at least one axis and one entry, given as the
+    object or as a dict value, is written as its ``tolist()`` would be; other
+    arrays, and arrays inside lists, are not serializable.
+    """
     parts = []
     try:
         _write(obj, parts, 0)
@@ -110,14 +122,6 @@ def dumps(obj):
         raise SerializeError("cannot serialize: object nested too deeply") from None
     parts.append("\n")
     return "".join(parts)
-
-
-def matrix_obj(a):
-    return {"matrix": np.asarray(a, dtype=float).tolist()}
-
-
-def tensor4_obj(h):
-    return {"tensor4": np.asarray(h, dtype=float).tolist()}
 
 
 def _as_array(data, shape, what):
@@ -133,7 +137,7 @@ def _as_array(data, shape, what):
         entries = [v for row in entries for v in row]
     if not all(type(v) in (int, float) for v in entries):
         raise SerializeError(f"{what}: not a numeric array (entries must be JSON numbers)")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SerializeError(f"{what}: non-finite entries")
     return arr
 

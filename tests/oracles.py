@@ -8,7 +8,8 @@ comparing the two paths is a genuine dual-route check.  The checks at the end
 derivative, characteristic polynomial) are written in plain numpy and take
 the package's results only as inputs.  The samplers draw one tensor per call
 with plain numpy; the package's block draws must give the same numbers trial
-by trial.
+by trial.  The JSON objects at the very end are the CLI's input schemas built
+from nested lists.
 """
 
 import itertools
@@ -296,3 +297,13 @@ def hamilton_cayley_residual(a, i1, i2, i3):
     """A^3 - i1 A^2 + i2 A - i3 I: zero up to rounding when i1..i3 are A's invariants."""
     a2 = a @ a
     return a2 @ a - i1 * a2 + i2 * a - i3 * np.eye(3)
+
+
+def matrix_obj(a):
+    """The {"matrix": ...} input object of a rank-2 tensor, as nested lists."""
+    return {"matrix": np.asarray(a, dtype=float).tolist()}
+
+
+def tensor4_obj(h):
+    """The {"tensor4": ...} input object of a rank-4 tensor, as nested lists."""
+    return {"tensor4": np.asarray(h, dtype=float).tolist()}

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,8 +14,10 @@ import pytest
 import tenderiv.cli
 from tenderiv.cli import main
 from tenderiv.isotropic import iso_tensor
-from tenderiv.serialize import dumps, matrix_obj, parse_tensor4, tensor4_obj
+from tenderiv.serialize import dumps, parse_tensor4
 from tenderiv.suites import full_identity_suite
+
+from oracles import matrix_obj, tensor4_obj
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(tenderiv.cli.__file__).resolve().parents[1]
@@ -198,7 +202,7 @@ def test_reused_parser_matches_fresh_processes(tmp_path, monkeypatch, capsys):
         return build_parser()
 
     monkeypatch.setattr(tenderiv.cli, "build_parser", counting_build_parser)
-    monkeypatch.setattr(tenderiv.cli, "_parser", None)
+    monkeypatch.setattr(tenderiv.cli, "_parsers", None)
 
     at = tmp_path / "at.json"
     at.write_text(json.dumps({"matrix": PINNED_AT}))
@@ -226,6 +230,61 @@ def test_reused_parser_matches_fresh_processes(tmp_path, monkeypatch, capsys):
         assert main(["identities", "--trials", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["reports"][0]["seed"] == seed
     assert len(built) == 1
+
+
+def test_routed_parse_matches_the_full_parser(tmp_path, monkeypatch, capsys):
+    # main hands argv[1:] to the named command's parser; with an empty command
+    # table every argv goes through the full parser, as it did before
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("TENDERIV_SEED", raising=False)
+    at = tmp_path / "at.json"
+    at.write_text(json.dumps({"matrix": PINNED_AT}))
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps(tensor4_obj(iso_tensor("II"))))
+    at, tensor = str(at), str(tensor)
+    corpus = [
+        [], ["-h"], ["deriv", "-h"], ["bogus"], ["bogus", "--fn", "I1"], ["--", "deriv"],
+        ["deriv", "--fn", "I1"],  # --at is missing
+        ["deriv", "--fn", "I1", "--at", at, "extra"],
+        ["deriv", "--fn", "I1", "--at", at, "--bogus", "x"],
+        ["deriv", "--fn=I1", "--at", at],
+        ["deriv", "--f", "I1", "--at", at],  # ambiguous: --fn or --fd-check
+        ["deriv", "--fn", "I1", "--", "--at", at],
+        ["deriv", "--fn", "I1", "--at", at, "--"],
+        ["deriv", "--fn", "inverse", "--at", at, "--fd-check"],
+        ["identities", "--seed", "0x10", "--trials", "1"],
+        ["identities", "--seed", "zz"],
+        ["convert", "--direction", "sideways", "--tensor", at],
+        ["convert", "--direction", "to-group2", "--tensor", tensor, "a", "b"],
+        ["convert", "--direction", "to-group3", "--tensor", tensor],
+    ]
+
+    def run_corpus():
+        results = []
+        for argv in corpus:
+            rc = main(argv)
+            got = capsys.readouterr()
+            # the identities summary line carries the suite's wall time
+            results.append((rc, got.out, re.sub(r", \d+ ms\n", ", <t> ms\n", got.err)))
+        return results
+
+    parser, commands = tenderiv.cli.build_parser()
+    full_parses = []
+
+    def recording_parse_args(argv):
+        full_parses.append(argv)
+        return argparse.ArgumentParser.parse_args(parser, argv)
+
+    monkeypatch.setattr(parser, "parse_args", recording_parse_args)
+    monkeypatch.setattr(tenderiv.cli, "_parsers", (parser, commands))
+    routed = run_corpus()
+    assert full_parses == [argv for argv in corpus if not argv or argv[0] not in commands]
+    monkeypatch.setattr(tenderiv.cli, "_parsers", (parser, {}))
+    full = run_corpus()
+    for argv, got, want in zip(corpus, routed, full):
+        assert got == want, argv
+    assert [rc for rc, _, _ in routed].count(2) == 13
+    assert "tenderiv: error: unrecognized arguments: --bogus x\n" in routed[8][2]
 
 
 @pytest.mark.parametrize("command", [["deriv", "--fn", "I1", "--at"],

@@ -9,11 +9,11 @@ from tenderiv.serialize import (
     dumps,
     format_float,
     load_json,
-    matrix_obj,
     parse_matrix,
     parse_tensor4,
-    tensor4_obj,
 )
+
+from oracles import matrix_obj, tensor4_obj
 
 
 def test_check_report_pass_iff_within_tol():
@@ -87,6 +87,44 @@ def test_dumps_rejects_nonfinite_array_entries(bad):
         dumps({"derivative": tensor4_obj(h)})
     with pytest.raises(SerializeError, match="non-finite"):
         dumps(matrix_obj(h[2, 1]))
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3, 6.0]
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 3), (3, 3, 3, 3)])
+def test_dumps_writes_float_arrays_as_their_lists(shape):
+    arr = np.resize(np.array(EDGE_FLOATS), shape)
+    # C-ordered, read-only, transposed and reversed-stride arrays
+    frozen = arr.copy()
+    frozen.flags.writeable = False
+    for a in (arr, frozen, arr.T, arr[..., ::-1]):
+        for obj, listed in ((a, a.tolist()), ({"x": a, "n": 1}, {"x": a.tolist(), "n": 1}),
+                            ({"d": {"x": a}}, {"d": {"x": a.tolist()}})):
+            assert dumps(obj) == dumps(listed)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dumps_rejects_nonfinite_arrays_as_their_lists(bad):
+    h = np.full((3, 3, 3, 3), 0.5)
+    h[1, 2, 0, 2] = bad
+    h[2, 0, 1, 0] = -bad  # later in row-major order, earlier in h.T
+    for a in (h, h.T, h[1, 2]):
+        with pytest.raises(SerializeError) as listed:
+            dumps({"derivative": a.tolist()})
+        with pytest.raises(SerializeError) as direct:
+            dumps({"derivative": a})
+        assert str(direct.value) == str(listed.value)
+        assert str(direct.value).startswith("non-finite number cannot be serialized")
+
+
+@pytest.mark.parametrize("arr", [np.arange(3), np.ones((3, 3), dtype=bool), np.array(0.5),
+                                 np.zeros((0, 3)), [np.ones(3)]],
+                         ids=["int", "bool", "0-d", "empty", "in-a-list"])
+def test_dumps_other_arrays_take_the_scalar_path(arr):
+    with pytest.raises(SerializeError, match="cannot serialize object of type ndarray"):
+        dumps({"x": arr})
 
 
 def test_dumps_rejects_objects_nested_too_deeply():
