@@ -111,7 +111,10 @@ _PLANS = {key: _plan(s) for key, s in SUBSCRIPTS.items()}
 
 # Temporaries of more entries than this come from scratch buffers; smaller
 # ones are allocated, which costs less than the lookup.  Products whose two
-# operands' terms hold more are also summed in parts (see _summed).
+# operands' terms hold more are also summed in parts (see _summed).  Each
+# mechanism here cites perfbench identities-bulk without it, as the median of
+# interleaved 8 s run pairs on 2 vCPUs: with fresh buffers in place of the
+# scratch pool, throughput fell 23% (10 of 10 pairs).
 _SPLIT = 4096
 
 
@@ -120,20 +123,20 @@ _SPLIT = 4096
 # operand of a leaf product through a 64 kB buffer to lengthen inner loops
 # that the batch axis, innermost and contiguous, already makes long.  The
 # setting is per thread, and elementwise results do not depend on it.
+# Without it throughput fell 7.5% (15 of 20 pairs).
 _UFUNC_BUFFER = 16
 
 
 class _Scratch(threading.local):
     """Each thread's pool of scratch buffers, one per (role, dtype).
 
-    product and inverse_det share the pool's four roles, 0 to 3: neither
-    calls the other and neither returns a view of a buffer, so their uses
-    never overlap.  product gathers its operands' terms into roles 0 and 1
-    and keeps the partial sums of split level d in role 2 + d (no row
-    contracts more than two labels); inverse_det keeps its scaled entries in
-    role 0 and its gathered factors in roles 1 and 2.  A buffer grows to the
-    largest size asked of it and never shrinks, so the same pages serve
-    every call.
+    product and inverse_det share the pool's role 0: neither calls the other
+    and neither returns a view of a buffer, so their uses never overlap.
+    product gathers its operands' terms into roles 0 and 1 and keeps the
+    partial sums of split level d in role 2 + d (no row contracts more than
+    two labels); inverse_det keeps its scaled entries in role 0.  A buffer
+    grows to the largest size asked of it and never shrinks, so the same
+    pages serve every call.
     """
 
     def __init__(self):
@@ -185,7 +188,8 @@ def _summed(x, y, n, out=None, depth=0):
     the n axes, and sum each part after the first into a scratch buffer (one
     per split level), so that a batched product allocates only its result:
     whole, the terms of two 128-item fourth-rank stacks take 750 kB, and
-    temporaries that size cost page faults on every call.
+    temporaries that size cost page faults on every call.  Without the
+    split, throughput fell 20% (8 of 10 pairs) and peak RSS rose 1.5 MB.
     """
     if n and x.size + y.size > _SPLIT:
         at = (slice(None),) * (n - 1)
@@ -386,40 +390,6 @@ def invariants(a):
 # the adjugate (the transposed cofactors)
 _ADJUGATE_TERMS = np.array([[[DIM * ((i + di) % DIM) + (j + dj) % DIM for i in range(DIM)]
                              for j in range(DIM)] for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))])
-# the same four indices per adjugate entry, in its flat order, for one tensor
-_ADJUGATE_ENTRIES = list(zip(*(terms.ravel().tolist() for terms in _ADJUGATE_TERMS)))
-
-
-def _taken(flat, index, role):
-    """flat[..., index] for a 9-entry index, in this thread's buffer for ``role`` when large."""
-    if flat.size <= _SPLIT:
-        return flat[..., index]
-    out = _scratch(role, flat.shape[:-1] + index.shape, flat.dtype)
-    return np.take(flat, index, axis=-1, out=out, mode="clip")
-
-
-def _inverse_det_one(a):
-    """inverse_det of one (3, 3) in Python floats, each step as the stack path takes it.
-
-    None, for the stack path to evaluate, when an entry or the determinant is
-    not finite, the determinant is zero or an unscaling overflows: there the
-    stack path's inf and NaN entries stand.
-    """
-    rows = a.tolist()
-    e = [math.frexp(max(abs(x), abs(y), abs(z)))[1] for x, y, z in rows]
-    flat = [math.ldexp(x, -k) for row, k in zip(rows, e) for x in row]
-    adj = [flat[p] * flat[q] - flat[r] * flat[t] for p, q, r, t in _ADJUGATE_ENTRIES]
-    det = 0.0 + flat[0] * adj[0] + flat[1] * adj[3] + flat[2] * adj[6]
-    # a non-finite entry makes every term it enters, and so det, non-finite
-    if det == 0.0 or not math.isfinite(det):
-        return None
-    try:
-        # adj[j, i] unscaled by row i's scale
-        inverse = [math.ldexp(c / det, k) for c, k in zip(adj, [-k for k in e] * DIM)]
-        det = math.ldexp(det, (e[0] + e[1]) + e[2])
-    except OverflowError:
-        return None
-    return np.array(inverse).reshape(DIM, DIM), np.float64(det)
 
 
 def inverse_det(a):
@@ -428,29 +398,21 @@ def inverse_det(a):
     From the cofactors of a with each row divided by 2^e, 2^e just above the
     row's largest |entry|: exact, and right wherever np.linalg.inv is (a det
     past the float range is inf).  A singular item's inverse is not finite.
-    One (3, 3) tensor runs the same steps in Python floats, which costs a
-    third of the stack path's time on one item; it passes the tensor on to
-    the stack path when an entry or the determinant is not finite, the
-    determinant is zero or an unscaling overflows.  Either way its results
-    are the one-item stack's, bit for bit.
+    One (3, 3) tensor takes the same path as a stack and gives the bits of
+    the one-item stack.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape == (DIM, DIM):
-        one = _inverse_det_one(a)
-        if one is not None:
-            return one
     m = np.abs(a, out=_scratch(0, a.shape, a.dtype))
-    # each row's largest |entry| as the maximum of its three columns: on a stack,
-    # a reduction over a length-3 axis costs about 20x more for the same bits
+    # each row's largest |entry| as the maximum of its three columns: with a
+    # reduction over the length-3 axis instead, p50 rose 5.7% (20 pairs)
     e = np.frexp(np.maximum(np.maximum(m[..., 0], m[..., 1]), m[..., 2]))[1][..., None]
     flat = np.ldexp(a, -e, out=m).reshape(a.shape[:-2] + (DIM * DIM,))
     p, q, r, t = _ADJUGATE_TERMS
     with np.errstate(all="ignore"):
-        # in place, the other factors gathered one at a time
         adj = flat[..., p]
-        adj *= _taken(flat, q, 1)
-        minor = _taken(flat, r, 2)
-        minor *= _taken(flat, t, 1)
+        adj *= flat[..., q]
+        minor = flat[..., r]
+        minor *= flat[..., t]
         adj -= minor
         d = flat[..., :DIM] * adj[..., 0]
         det = 0.0 + d[..., 0] + d[..., 1] + d[..., 2]  # from +0.0, as .sum: -0.0 terms give +0.0

@@ -72,10 +72,7 @@ def _write(obj, parts, level):
         array = _array(obj)
         if array is not None:
             shape, values = array
-            if all(map(isinstance, values, repeat(float))) and all(map(math.isfinite, values)):
-                parts.append(_template(shape, level, "{:.17g}").format(*values))
-            else:  # other scalars; format_float rejects a non-finite float
-                parts.append(_template(shape, level, "{}").format(*map(_scalar, values)))
+            parts.append(_template(shape, level, "{}").format(*map(_scalar, values)))
             return
         parts.append("[\n")
         for n, value in enumerate(obj):

@@ -297,8 +297,8 @@ def test_inverse_det_matches_linalg_on_well_conditioned_stacks():
         single_inverse, single_det = inverse_det(stack[t])
         assert np.array_equal(single_inverse, inverse[t]) and single_det == det[t]
         assert np.array_equal(inverse2(stack[t]), inverse[t])
-    # also where one tensor is passed on to the stack path: a det or an
-    # unscaling past the float range, det 0, and entries that are not finite
+    # also at the edges: a det or an unscaling past the float range, det 0,
+    # and entries that are not finite
     base = stack[17]
     rows = np.array([[1e300], [1.0], [1e-300]])
     subnormal = base.copy()

@@ -93,6 +93,63 @@ def test_reciprocal_frame_of_a_huge_frame_matches_linalg(scale):
     assert maxabs(b.reciprocal - want) <= 1e-14 * maxabs(want)
 
 
+def _frame_corpus():
+    """Frames at scales 1e-3 to 1e300 and per-row scales of 1e+-150, with subnormal
+    rows, -0.0 entries, zero entries and near-degenerate frames."""
+    rng = trial_rng(215, 0)
+    skewed = np.eye(3) + 0.6 * rng.uniform(-1.0, 1.0, (300, 3, 3))
+    frames = [scale * skewed for scale in (1e-3, 1.0, 1e3, 1e100, 1e160, 1e200, 1e300)]
+    frames.append(10.0 ** rng.uniform(-150.0, 150.0, (900, 3, 1)) * rng.uniform(-1.0, 1.0, (900, 3, 3)))
+    subnormal = rng.uniform(-1.0, 1.0, (2, 300, 3, 3))
+    subnormal[0, :, 0] *= 5e-320
+    subnormal[1, :, 1] *= 1e-310
+    subnormal[1, :, 2] *= 1e200
+    frames += list(subnormal)
+    for value, share in ((-0.0, 0.4), (0.0, 0.3)):
+        holes = rng.uniform(-1.0, 1.0, (300, 3, 3))
+        holes[rng.uniform(size=holes.shape) < share] = value
+        frames.append(holes)
+    # row 3 a combination of rows 1 and 2 plus a push of 1e-18 to 1e-4
+    near = rng.uniform(-1.0, 1.0, (600, 3, 3))
+    near[:, 2] = (rng.uniform(-1.0, 1.0, (600, 1)) * near[:, 0] + rng.uniform(-1.0, 1.0, (600, 1))
+                  * near[:, 1] + 10.0 ** rng.uniform(-18.0, -4.0, (600, 1)) * near[:, 2])
+    frames += [near, 1e-3 * near, np.zeros((1, 3, 3))]
+    return np.concatenate(frames)
+
+
+def test_make_basis_matches_the_stack_inverse_bit_for_bit():
+    # make_basis builds the reciprocal frame from cross products on its own;
+    # its fields and its refusals are those of algebra.inverse_det's stack path
+    degenerate = 0
+    for frame in _frame_corpus():
+        inverse, det = algebra.inverse_det(frame[None])
+        try:
+            b = make_basis(*frame)
+        except DegenerateFrameError as err:
+            degenerate += 1
+            assert abs(det[0]) < algebra.DET_FLOOR
+            assert np.float64(err.triple_product).tobytes() == det[0].tobytes()
+            continue
+        assert abs(det[0]) >= algebra.DET_FLOOR
+        reciprocal = inverse[0].T
+        assert b.reciprocal.tobytes() == reciprocal.tobytes()
+        # einsum's sums depend on the operands' memory layout: this pins it
+        assert b.g_hi.tobytes() == np.einsum("ik,jk->ij", reciprocal, reciprocal).tobytes()
+    assert 1000 < degenerate < 3000
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_reciprocal_entry_past_the_float_range_is_inf(sign):
+    frame = np.array([[sign * 1e-310, 0, 0], [0, 1e200, 0], [0, 0, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        b = make_basis(*frame)
+        report = verify_basis_invariance("dot", (ident2(), ident2()), b)
+    assert b.reciprocal[0, 0] == sign * np.inf
+    assert b.reciprocal.tobytes() == algebra.inverse_det(frame[None])[0][0].T.tobytes()
+    assert (report.passed, report.nonfinite) == (False, 1)
+
+
 def test_duality_and_metric_inversion():
     for t in range(50):
         b = make_basis(*random_frame(trial_rng(200, t)))

@@ -12,6 +12,12 @@ oracles.py compare within a tolerance and are exempt.
 The batched kernel is fast because it reuses its own buffers; glibc settings
 (mallopt through ctypes, MALLOC_* variables) would hide a regression there,
 so no file under src/ may name them.
+
+basis.make_basis builds its reciprocal frame from cross products in Python
+floats, the steps of inverse_det written out for one frame, and
+test_basis.py holds the two to the same bits.  That test would compare
+inverse_det with itself if basis.py called it, so basis.py may not name
+inverse_det or inverse2, nor star-import.
 """
 
 import ast
@@ -85,3 +91,17 @@ def test_source_does_not_tune_the_allocator():
                 found += [f"{path.relative_to(SRC)}:{n}: {word.decode()}"
                           for word in ALLOCATOR_TUNING if word in line]
     assert not found, "\n".join(found)
+
+
+def test_basis_takes_no_inverse_from_algebra():
+    path = Path(tenderiv.__file__).with_name("basis.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # a star import would bring both names in unseen
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.Name):
+            found.append(node.id)
+    assert not {"inverse_det", "inverse2", "*"} & set(found)
