@@ -109,12 +109,11 @@ def _plan(subscripts):
 
 _PLANS = {key: _plan(s) for key, s in SUBSCRIPTS.items()}
 
-# Temporaries of more entries than this come from scratch buffers; smaller
-# ones are allocated, which costs less than the lookup.  Products whose two
-# operands' terms hold more are also summed in parts (see _summed).  Each
-# mechanism here cites perfbench identities-bulk without it, as the median of
-# interleaved 8 s run pairs on 2 vCPUs: with fresh buffers in place of the
-# scratch pool, throughput fell 23% (10 of 10 pairs).
+# Products whose two operands' terms hold more entries than this are summed
+# in parts (see _summed).  Each mechanism here cites perfbench
+# identities-bulk without it, as the median of interleaved 8 s run pairs on
+# 2 vCPUs: with fresh buffers in place of the scratch pool, throughput fell
+# 23% (10 of 10 pairs).
 _SPLIT = 4096
 
 
@@ -128,15 +127,12 @@ _UFUNC_BUFFER = 16
 
 
 class _Scratch(threading.local):
-    """Each thread's pool of scratch buffers, one per (role, dtype).
+    """Each thread's pool of product's scratch buffers, one per (role, dtype).
 
-    product and inverse_det share the pool's role 0: neither calls the other
-    and neither returns a view of a buffer, so their uses never overlap.
-    product gathers its operands' terms into roles 0 and 1 and keeps the
-    partial sums of split level d in role 2 + d (no row contracts more than
-    two labels); inverse_det keeps its scaled entries in role 0.  A buffer
-    grows to the largest size asked of it and never shrinks, so the same
-    pages serve every call.
+    product gathers a stack's terms into roles 0 and 1 and keeps the partial
+    sums of split level d in role 2 + d (no row contracts more than two
+    labels), and returns no view of a buffer.  A buffer grows to the largest
+    size asked of it and never shrinks, so the same pages serve every call.
     """
 
     def __init__(self):
@@ -147,13 +143,8 @@ _SCRATCH = _Scratch()
 
 
 def _scratch(role, shape, dtype):
-    """This thread's buffer for ``role`` as an uninitialized array of ``shape``.
-
-    None, for the caller to allocate, when it would hold at most _SPLIT entries.
-    """
+    """This thread's buffer for ``role`` as an uninitialized array of ``shape``."""
     size = math.prod(shape)
-    if size <= _SPLIT:
-        return None
     buffers = _SCRATCH.buffers
     buffer = buffers.get((role, dtype))
     if buffer is None or buffer.size < size:
@@ -164,18 +155,18 @@ def _scratch(role, shape, dtype):
 def _terms(a, side, batch, role):
     """The entries side's index picks from each item of a, ahead of its ``batch`` batch axes.
 
-    A C-ordered copy: of a stack, in this thread's buffer for ``role`` when
-    large.
+    A C-ordered copy: of a stack, in this thread's buffer for ``role``; of
+    one tensor, a fresh array from one take.
     """
     index, axes = side
     lead = a.ndim - len(axes)
-    if not lead:  # one tensor
+    # one tensor, in one take: with the stack path below instead, perfbench
+    # basis-invariance throughput fell 10% (median of 20 interleaved pairs)
+    if not lead:
         return a.take(index).reshape(index.shape + (1,) * batch) if batch else a.take(index)
     # a view with the batch axes last, then copied
     a = a.transpose((*[lead + i for i in axes], *range(lead)))
     a = a.reshape(index.shape + (1,) * (batch - lead) + a.shape[len(axes):])
-    if a.size <= _SPLIT:
-        return a.copy()
     out = _scratch(role, a.shape, a.dtype)
     out[...] = a
     return out
@@ -402,7 +393,7 @@ def inverse_det(a):
     the one-item stack.
     """
     a = np.asarray(a, dtype=float)
-    m = np.abs(a, out=_scratch(0, a.shape, a.dtype))
+    m = np.abs(a)
     # each row's largest |entry| as the maximum of its three columns: with a
     # reduction over the length-3 axis instead, p50 rose 5.7% (20 pairs)
     e = np.frexp(np.maximum(np.maximum(m[..., 0], m[..., 1]), m[..., 2]))[1][..., None]

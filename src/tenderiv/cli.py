@@ -84,15 +84,12 @@ def cmd_deriv(args):
         return _usage_error(
             f"unknown function {args.fn!r}; available: {', '.join(sorted(_CATALOG))}"
         )
-    try:
-        at = parse_matrix(load_json(args.at))
-    except SerializeError as exc:
-        return _usage_error(str(exc))
-
+    at = parse_matrix(load_json(args.at))
     fn = _CATALOG[args.fn]
     key = "matrix" if fn.kind == "scalar" else "tensor4"
     fd_derivative = fd_scalar_derivative if fn.kind == "scalar" else fd_tensor_derivative
     payload = {"fn": fn.name, "kind": fn.kind, "at": {"matrix": at}}
+    status = 0
     try:
         # overflow shows up as a non-finite result, reported as a domain error
         with np.errstate(all="ignore"):
@@ -104,21 +101,16 @@ def cmd_deriv(args):
                 payload["fd_max_abs_err"] = _finite("fd_max_abs_err", maxabs(fd - analytic))
     except (DomainError, SingularTensorError) as exc:
         payload["error"] = {"type": "domain-error", "message": str(exc)}
-        _emit(dumps(payload), args.out)
-        return 1
+        status = 1
     _emit(dumps(payload), args.out)
-    return 0
+    return status
 
 
 _DIRECTIONS = {"to-group2": to_nested_layout, "to-group3": to_trailing_layout}
 
 
 def cmd_convert(args):
-    try:
-        tensor = parse_tensor4(load_json(args.tensor))
-    except SerializeError as exc:
-        return _usage_error(str(exc))
-    converted = _DIRECTIONS[args.direction](tensor)
+    converted = _DIRECTIONS[args.direction](parse_tensor4(load_json(args.tensor)))
     _emit(dumps({"tensor4": converted}), args.out)
     return 0
 
@@ -132,8 +124,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def integer(text):  # argparse names this function in its "invalid integer value" error
+        return int(text, 0)
+
     p_id = sub.add_parser("identities", help="run every identity suite")
-    p_id.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+    p_id.add_argument("--seed", type=integer, default=None,
                       help=f"PRNG seed (default: ${SEED_ENV_VAR} or 0)")
     p_id.add_argument("--trials", type=int, default=200,
                       help="random trials per fuzzed check (default 200)")

@@ -47,10 +47,7 @@ def uniform_tensors(rng, n, *ranks):
     (n,) array of scalars.
     """
     sizes = [DIM**r for r in ranks]
-    # uniform(-1, 1) is -1 + 2 * random(): the same bits, without its broadcasting
-    u = rng.random((n, sum(sizes)))
-    u *= 2.0
-    u -= 1.0
+    u = rng.uniform(-1.0, 1.0, (n, sum(sizes)))
     stacks, start = [], 0
     for rank, size in zip(ranks, sizes):
         stacks.append(np.ascontiguousarray(u[:, start:start + size]).reshape((n,) + (DIM,) * rank))

@@ -121,34 +121,34 @@ def dumps(obj):
     return "".join(parts)
 
 
-def _as_array(data, shape, what):
+def _as_array(obj, key, shape):
+    """obj[key] as a float array of this shape, from an object holding finite JSON numbers."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SerializeError(f'expected an object with a "{key}" key')
+    data = obj[key]
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         # OverflowError: a JSON integer too large for a float
-        raise SerializeError(f"{what}: not a numeric array ({exc})") from None
+        raise SerializeError(f"{key}: not a numeric array ({exc})") from None
     if arr.shape != shape:
-        raise SerializeError(f"{what}: expected shape {shape}, got {arr.shape}")
+        raise SerializeError(f"{key}: expected shape {shape}, got {arr.shape}")
     entries = [data]
     for _ in shape:  # numpy also reads "9" and true as numbers: check the JSON values
         entries = [v for row in entries for v in row]
     if not all(type(v) in (int, float) for v in entries):
-        raise SerializeError(f"{what}: not a numeric array (entries must be JSON numbers)")
+        raise SerializeError(f"{key}: not a numeric array (entries must be JSON numbers)")
     if not np.isfinite(arr).all():
-        raise SerializeError(f"{what}: non-finite entries")
+        raise SerializeError(f"{key}: non-finite entries")
     return arr
 
 
 def parse_matrix(obj):
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise SerializeError('expected an object with a "matrix" key')
-    return _as_array(obj["matrix"], (DIM, DIM), "matrix")
+    return _as_array(obj, "matrix", (DIM, DIM))
 
 
 def parse_tensor4(obj):
-    if not isinstance(obj, dict) or "tensor4" not in obj:
-        raise SerializeError('expected an object with a "tensor4" key')
-    return _as_array(obj["tensor4"], (DIM, DIM, DIM, DIM), "tensor4")
+    return _as_array(obj, "tensor4", (DIM, DIM, DIM, DIM))
 
 
 def load_json(path):

@@ -21,12 +21,10 @@ from functools import partial
 import numpy as np
 
 from .algebra import maxabs, product, transpose2
-from .bridge import CONVENTION_ROWS, to_nested_layout, to_trailing_layout
+from .bridge import CONVENTION_ROWS, R22, R44, to_nested_layout, to_trailing_layout
 from .isotropic import KINDS, SCHEMES, contraction_role, expected_role, iso_tensor, rotation_error
 from .reporting import RunSummary, fuzz_report
 from .rng import orthogonal_tensors, uniform_tensors
-
-R22, R44 = (2, 2), (4, 4)
 
 
 # ---------------------------------------------------------------------------

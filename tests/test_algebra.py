@@ -480,8 +480,8 @@ def test_product_results_own_their_memory(n):
 
 
 def test_inverse_det_results_own_their_memory():
-    # 19 x 256 items, as in a finite-difference block: past _SPLIT, so
-    # inverse_det works in the scratch pool that product uses too
+    # 19 x 256 items, as in a finite-difference block: inverse_det's results
+    # are fresh arrays, which a later product's scratch pool leaves alone
     stack = np.eye(3) + 0.3 * trial_rng(122, 0).uniform(-1.0, 1.0, (19 * 256, 3, 3))
     inverse, det = inverse_det(stack)
     kept = inverse.copy(), det.copy()

@@ -200,6 +200,30 @@ def test_suite_bytes_do_not_depend_on_the_block_size(monkeypatch):
     assert texts[2] == texts[0]
 
 
+# Reports whose error is exactly 0.0 on every trial: permutations, products
+# with 0/1 entries, or the same sums in the same order on both sides.  A
+# regrouped sum or a reordered kernel step shows here first, as a last-bit
+# error far below any tolerance.
+EXACT_REPORTS = [
+    "algebra/pos-equals-cross-rank2",
+    "bridge/layout-roundtrip",
+    "bridge/layout-constants",
+    "bridge/rule/product_dot",
+    "bridge/rule/unit_and_transposer",
+    "bridge/rule/scalar_times_tensor",
+    "bridge/seq-transposer-identities",
+]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_exact_reports_stay_exactly_zero(seed):
+    reports = full_identity_suite(seed, 1000).reports
+    exact = [r.name for r in reports if r.max_abs_err == 0.0 and r.nonfinite == 0]
+    iso_roles = [r.name for r in reports if r.name.startswith("iso/role/")]
+    assert len(iso_roles) == 18
+    assert sorted(exact) == sorted(EXACT_REPORTS + iso_roles)
+
+
 def test_suite_scratch_pool_holds_only_the_shared_roles():
     # a fresh thread starts with an empty pool
     pool = {}

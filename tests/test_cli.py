@@ -285,6 +285,8 @@ def test_routed_parse_matches_the_full_parser(tmp_path, monkeypatch, capsys):
         assert got == want, argv
     assert [rc for rc, _, _ in routed].count(2) == 13
     assert "tenderiv: error: unrecognized arguments: --bogus x\n" in routed[8][2]
+    seed_err = routed[corpus.index(["identities", "--seed", "zz"])][2]
+    assert seed_err.endswith("error: argument --seed: invalid integer value: 'zz'\n")
 
 
 @pytest.mark.parametrize("command", [["deriv", "--fn", "I1", "--at"],

@@ -18,6 +18,10 @@ floats, the steps of inverse_det written out for one frame, and
 test_basis.py holds the two to the same bits.  That test would compare
 inverse_det with itself if basis.py called it, so basis.py may not name
 inverse_det or inverse2, nor star-import.
+
+A deletion should take its leftovers with it: no module but __init__.py
+(which re-exports) may import a name it never uses or define a module-level
+private name that it never reads.
 """
 
 import ast
@@ -105,3 +109,52 @@ def test_basis_takes_no_inverse_from_algebra():
         elif isinstance(node, ast.Name):
             found.append(node.id)
     assert not {"inverse_det", "inverse2", "*"} & set(found)
+
+
+def _leftovers(tree):
+    """Imported names the module never uses, and module-level private names it never reads."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    defined = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined += [(node.lineno, "import", (alias.asname or alias.name).split(".")[0])
+                        for alias in node.names if alias.name != "*"]
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined += [(node.lineno, "private", name) for name in names
+                    if name.startswith("_") and not name.startswith("__")]
+    return [f"{line}: {kind} {name}" for line, kind, name in defined if name not in read]
+
+
+def test_no_module_keeps_an_unused_import_or_private_name():
+    found = []
+    for path in sorted(Path(tenderiv.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            found += [f"{path.name}:{what}" for what in _leftovers(ast.parse(path.read_text()))]
+    assert not found, "\n".join(found)
+
+
+def test_the_leftover_walk_finds_each_kind():
+    source = """
+import math
+import os.path
+from .algebra import DIM, maxabs as _maxabs
+_TABLE = {}
+_A, _b = 1, 2
+def _helper():
+    return _b
+class _Unused:
+    pass
+print(_helper, __doc__)
+"""
+    assert _leftovers(ast.parse(source)) == [
+        "2: import math", "3: import os", "4: import DIM", "4: import _maxabs",
+        "5: private _TABLE", "6: private _A", "9: private _Unused",
+    ]
