@@ -8,12 +8,12 @@ from .rng import report_rng
 
 # Trials evaluated together by fuzz_report.  Each block costs a report about
 # 90 us of Python calls and short numpy loops whatever its size, so larger
-# blocks run faster; memory sets the limit.  The largest stacks are the
-# 19-point finite-difference stencils of the bridge rule rows, and they size
-# algebra's scratch pool: four buffers of at most 19 * 9 * BLOCK doubles,
-# 1.4 MB at 256.  A block of 512 ran the suite about 12% faster again but
-# raised peak memory by 13%.
-BLOCK = 256
+# blocks run faster; memory sets the limit.  The FD oracle of the bridge rule
+# rows runs on at most bridge.FD_CHUNK arguments, so its stencils do not grow
+# with BLOCK.  At 512 the suite ran 1.15-1.2x as many trials per second as
+# at 256 for 3% more peak memory; at 1024 the products' own stacks would
+# grow the scratch pool from 1,350 to 2,531 kB.
+BLOCK = 512
 
 
 @dataclass(frozen=True)

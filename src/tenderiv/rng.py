@@ -43,14 +43,16 @@ def uniform_tensors(rng, n, *ranks):
     """Operands of n trials, entries uniform in [-1, 1]: one (n, 3, ..., 3) stack per rank.
 
     One draw of shape (n, k), k the entries of one trial, is split by columns,
-    so row t holds trial t's operands in argument order.  Rank 0 gives an
-    (n,) array of scalars.
+    so row t holds trial t's operands in argument order.  Each stack is a
+    view of its columns, not a copy: the stacks share the draw's memory and
+    consecutive items lie k entries apart.  Callers only read them.  Rank 0
+    gives an (n,) array of scalars.
     """
     sizes = [DIM**r for r in ranks]
     u = rng.uniform(-1.0, 1.0, (n, sum(sizes)))
     stacks, start = [], 0
     for rank, size in zip(ranks, sizes):
-        stacks.append(np.ascontiguousarray(u[:, start:start + size]).reshape((n,) + (DIM,) * rank))
+        stacks.append(u[:, start:start + size].reshape((n,) + (DIM,) * rank))
         start += size
     return stacks
 

@@ -7,6 +7,7 @@ boundary, a draw-order slip or a regrouped sum shows up as a bit difference.
 """
 
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,11 +34,11 @@ from tenderiv.algebra import (
     product,
     transpose4,
 )
-from tenderiv.bridge import to_nested_layout
-from tenderiv.calculus import catalog, d_inverse, fd_tensor_derivative
+from tenderiv.bridge import FD_CHUNK, _fd_error, to_nested_layout
+from tenderiv.calculus import catalog, d_inverse, d_power, fd_tensor_derivative
 from tenderiv.isotropic import iso_tensor, rotate4
 from tenderiv.reporting import BLOCK, fuzz_report
-from tenderiv.rng import report_rng, trial_rng
+from tenderiv.rng import near_identity, report_rng, trial_rng, uniform_tensors
 from tenderiv.serialize import dumps
 from tenderiv.suites import REPORTS, full_identity_suite
 
@@ -61,10 +62,11 @@ TOL = 1e-12
 I = ident2()
 C1, C2 = iso_tensor("I"), iso_tensor("II")
 CAT = catalog()
-# one trial; a single partial block of about half a block; a block less one,
-# whole and plus one; and one or two whole blocks then a short partial one
+# one trial, and around an FD chunk and around a block: about half the size;
+# the size less one, whole and plus one; and one or two of it then a short rest
 HALF = BLOCK // 2
-TRIAL_COUNTS = [1, HALF - 1, HALF, HALF + 1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 3, 2 * BLOCK + 3]
+TRIAL_COUNTS = sorted({1} | {t for size in (FD_CHUNK, BLOCK) for t in (
+    size // 2 - 1, size // 2, size // 2 + 1, size - 1, size, size + 1, size + 3, 2 * size + 3)})
 
 
 @pytest.fixture(scope="module")
@@ -192,12 +194,71 @@ def test_blocks_match_one_trial_at_a_time(trial_functions, name, trials):
 
 
 def test_suite_bytes_do_not_depend_on_the_block_size(monkeypatch):
-    texts = []
-    for block in (128, BLOCK, 97):
-        monkeypatch.setattr(tenderiv.reporting, "BLOCK", block)
-        texts.append(dumps(full_identity_suite(7, 600).to_obj()))
-    assert texts[1] == texts[0]
-    assert texts[2] == texts[0]
+    # 1,100 trials cross block boundaries and, in the FD rows, chunk boundaries
+    for trials in (600, 1100):
+        texts = []
+        for block in (128, BLOCK, 97, 256):
+            monkeypatch.setattr(tenderiv.reporting, "BLOCK", block)
+            texts.append(dumps(full_identity_suite(7, trials).to_obj()))
+        for text in texts[1:]:
+            assert text == texts[0]
+
+
+def test_no_trial_function_writes_into_its_operands(monkeypatch):
+    # uniform_tensors hands out views of one draw, on the condition that its
+    # callers only read them
+    want = dumps(full_identity_suite(7, BLOCK + 3).to_obj())
+    real = tenderiv.rng.uniform_tensors
+
+    def read_only(rng, n, *ranks):
+        stacks = real(rng, n, *ranks)
+        for stack in stacks:
+            stack.flags.writeable = False
+        return stacks
+
+    for module in (tenderiv.suites, tenderiv.bridge):
+        monkeypatch.setattr(module, "uniform_tensors", read_only)
+    assert dumps(full_identity_suite(7, BLOCK + 3).to_obj()) == want
+
+
+def test_fd_oracle_runs_on_at_most_one_chunk_of_arguments(monkeypatch):
+    sizes = []
+
+    def recording(fn, a):
+        sizes.append(len(a))
+        return fd_tensor_derivative(fn, a)
+
+    monkeypatch.setattr(tenderiv.bridge, "fd_tensor_derivative", recording)
+    full_identity_suite(7, 2 * BLOCK + 3)
+    assert sizes and max(sizes) <= FD_CHUNK
+    # the square and inverse rows each see every trial once
+    assert sum(sizes) == 2 * (2 * BLOCK + 3)
+
+
+def fd_errors_unchunked(name, a, analytic):
+    """_fd_error's errors from one call of the FD oracle on the whole stack."""
+    fd = fd_tensor_derivative(CAT[name], a)
+    return maxabs(fd - analytic, 4) / (1.0 + maxabs(analytic, 4))
+
+
+@pytest.mark.parametrize("name, rule", [("square", partial(d_power, 2)), ("inverse", d_inverse)])
+def test_fd_error_in_chunks_equals_one_unchunked_call(name, rule):
+    (u,) = uniform_tensors(trial_rng(904, 0), 2 * FD_CHUNK + 3, 2)
+    a = near_identity(u)
+    analytic = rule(a)
+    got = _fd_error(name, a, analytic)
+    assert got.shape == (2 * FD_CHUNK + 3,)
+    assert np.array_equal(got, fd_errors_unchunked(name, a, analytic))
+
+
+def test_fd_error_keeps_a_nan_argument_in_its_trial():
+    (u,) = uniform_tensors(trial_rng(905, 0), 2 * FD_CHUNK + 3, 2)
+    a = near_identity(u)
+    poisoned = FD_CHUNK + 5  # in the second chunk
+    a[poisoned, 1, 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        errors = _fd_error("square", a, d_power(2, a))
+    assert np.array_equal(np.flatnonzero(~np.isfinite(errors)), [poisoned])
 
 
 # Reports whose error is exactly 0.0 on every trial: permutations, products
@@ -237,8 +298,9 @@ def test_suite_scratch_pool_holds_only_the_shared_roles():
     thread.join(timeout=120)
     assert not thread.is_alive()
     assert {role for role, _ in pool} == {0, 1, 2, 3}
-    # the largest stacks: 19-point FD stencils of a block of second-rank arguments
-    assert sum(buffer.nbytes for buffer in pool.values()) <= 4 * 19 * 9 * BLOCK * 8
+    # the largest stacks: 19-point FD stencils of one chunk of second-rank
+    # arguments, whatever the block size
+    assert sum(buffer.nbytes for buffer in pool.values()) <= 4 * 19 * 9 * FD_CHUNK * 8
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -326,7 +388,9 @@ def views(a, rank):
     return found
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 7, HALF, HALF + 1, BLOCK, BLOCK + 1])
+# a few items; half an FD chunk, half a block and a block, and one more of each
+@pytest.mark.parametrize("n", sorted({1, 2, 5, 7, FD_CHUNK // 2, FD_CHUNK // 2 + 1,
+                                      HALF, HALF + 1, BLOCK, BLOCK + 1}))
 @pytest.mark.parametrize("key", sorted(SUBSCRIPTS))
 def test_batched_product_equals_stacked_single_products(key, n):
     op, ranks = key
