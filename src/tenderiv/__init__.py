@@ -5,8 +5,8 @@ the double scalar product, the isotropic fourth-rank unit and transposer
 tensors, analytic derivatives of scalar- and tensor-valued functions of a
 second-rank tensor argument, and conversion between the two derivative index
 layouts in circulation.  Every identity ships with a seeded verification
-suite (`tenderiv identities`) backed by finite-difference and brute-force
-index oracles in the test tree.
+suite (`tenderiv identities`; derivative rules against the complex step),
+backed by finite-difference and brute-force index oracles in the test tree.
 """
 
 from .algebra import (

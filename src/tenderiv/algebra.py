@@ -42,9 +42,9 @@ class SingularTensorError(ValueError):
     """A second-rank tensor (item ``index`` of a stack) is singular where an inverse is needed."""
 
     def __init__(self, det, index):
-        super().__init__(f"tensor is numerically singular: det = {det:.3e}")
-        self.det = float(det)
+        self.det = float(np.real(det))  # a complex-step argument has a complex det
         self.index = int(index)
+        super().__init__(f"tensor is numerically singular: det = {self.det:.3e}")
 
 
 def ident2():
@@ -127,12 +127,13 @@ _UFUNC_BUFFER = 16
 
 
 class _Scratch(threading.local):
-    """Each thread's pool of product's scratch buffers, one per (role, dtype).
+    """Each thread's pool of product's scratch buffers, one per role.
 
     product gathers a stack's terms into roles 0 and 1 and keeps the partial
     sums of split level d in role 2 + d (no row contracts more than two
-    labels), and returns no view of a buffer.  A buffer grows to the largest
-    size asked of it and never shrinks, so the same pages serve every call.
+    labels), and returns no view of a buffer.  A buffer is bytes viewed as
+    the dtype asked for; it grows to the largest size asked of it and never
+    shrinks, so the same pages serve every call.
     """
 
     def __init__(self):
@@ -143,13 +144,13 @@ _SCRATCH = _Scratch()
 
 
 def _scratch(role, shape, dtype):
-    """This thread's buffer for ``role`` as an uninitialized array of ``shape``."""
-    size = math.prod(shape)
+    """This thread's buffer for ``role`` as an uninitialized ``dtype`` array of ``shape``."""
+    size = math.prod(shape) * dtype.itemsize
     buffers = _SCRATCH.buffers
-    buffer = buffers.get((role, dtype))
+    buffer = buffers.get(role)
     if buffer is None or buffer.size < size:
-        buffer = buffers[role, dtype] = np.empty(size, dtype)
-    return buffer[:size].reshape(shape)
+        buffer = buffers[role] = np.empty(size, np.uint8)
+    return buffer[:size].view(dtype).reshape(shape)
 
 
 def _terms(a, side, batch, role):
@@ -205,7 +206,7 @@ def product(op, x, y, ranks=None):
     broadcast and are kept in the result.  Ranks are passed, never inferred:
     a (3, 3, 3, 3) array is a fourth-rank tensor and a 3x3 stack of
     second-rank ones alike.  Without ``ranks`` the operands are single
-    tensors, ``ranks = (x.ndim, y.ndim)``.  A scalar result is a float.
+    tensors, ``ranks = (x.ndim, y.ndim)``.  A scalar result is a Python number.
     No BLAS call sums the terms (see _summed): the bits do not depend on the
     CPU, and a batched product equals the stack of single products bit for
     bit, whatever the operands' strides.  A large batched product allocates
@@ -235,7 +236,7 @@ def product(op, x, y, ranks=None):
             np.setbufsize(previous)
     if batch:  # the batch axes, innermost until now, back in front
         out = out.transpose((*range(out.ndim - batch, out.ndim), *range(out.ndim - batch)))
-    return float(out) if out.ndim == 0 else out
+    return out.item() if out.ndim == 0 else out
 
 
 def dot(x, y):
@@ -336,6 +337,11 @@ def pos_ddot_right(m, c, n):
     return product(_slot_op("pos_ddot_right", n), m, c, (4, 4))
 
 
+def _floating(a):
+    """a as a float array, or a complex one for a complex step f(A + ihE)."""
+    return np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+
+
 def maxabs(x, rank=None):
     """Largest absolute entry of a tensor.
 
@@ -349,9 +355,9 @@ def maxabs(x, rank=None):
 
 
 def trace(a):
-    """First principal invariant, of one tensor (a float) or of each one in a stack."""
+    """First principal invariant, of one tensor (a Python number) or of each one in a stack."""
     t = np.trace(a, axis1=-2, axis2=-1)
-    return float(t) if np.ndim(t) == 0 else t
+    return t.item() if np.ndim(t) == 0 else t
 
 
 class Invariants(NamedTuple):
@@ -367,7 +373,7 @@ def invariants(a):
 
     i1 = tr A, i2 = (i1^2 - tr A^2)/2, i3 = (tr A^3 - i1 tr A^2 + i2 i1)/3.
     """
-    a = np.asarray(a, dtype=float)
+    a = _floating(a)
     a2 = product("dot", a, a, (2, 2))
     t1 = trace(a)
     t2 = trace(a2)
@@ -383,6 +389,15 @@ _ADJUGATE_TERMS = np.array([[[DIM * ((i + di) % DIM) + (j + dj) % DIM for i in r
                              for j in range(DIM)] for di, dj in ((1, 1), (2, 2), (1, 2), (2, 1))])
 
 
+def _ldexp(x, e, out=None):
+    """x * 2^e, exactly: into out when x is real, part by part into a new array when complex."""
+    if x.dtype.kind != "c":
+        return np.ldexp(x, e, out=out)
+    z = np.array(np.ldexp(x.real, e), x.dtype)  # imaginary parts 0 until the next line
+    np.ldexp(x.imag, e, out=z.imag)
+    return z
+
+
 def inverse_det(a):
     """Inverse and determinant (along row 0) of a second-rank tensor or of each in a stack.
 
@@ -390,14 +405,14 @@ def inverse_det(a):
     row's largest |entry|: exact, and right wherever np.linalg.inv is (a det
     past the float range is inf).  A singular item's inverse is not finite.
     One (3, 3) tensor takes the same path as a stack and gives the bits of
-    the one-item stack.
+    the one-item stack.  A complex a is scaled part by part (see _ldexp).
     """
-    a = np.asarray(a, dtype=float)
+    a = _floating(a)
     m = np.abs(a)
     # each row's largest |entry| as the maximum of its three columns: with a
     # reduction over the length-3 axis instead, p50 rose 5.7% (20 pairs)
     e = np.frexp(np.maximum(np.maximum(m[..., 0], m[..., 1]), m[..., 2]))[1][..., None]
-    flat = np.ldexp(a, -e, out=m).reshape(a.shape[:-2] + (DIM * DIM,))
+    flat = _ldexp(a, -e, m).reshape(a.shape[:-2] + (DIM * DIM,))
     p, q, r, t = _ADJUGATE_TERMS
     with np.errstate(all="ignore"):
         adj = flat[..., p]
@@ -408,8 +423,8 @@ def inverse_det(a):
         d = flat[..., :DIM] * adj[..., 0]
         det = 0.0 + d[..., 0] + d[..., 1] + d[..., 2]  # from +0.0, as .sum: -0.0 terms give +0.0
         adj /= det[..., None, None]
-        return (np.ldexp(adj, -transpose2(e), out=adj),
-                np.ldexp(det, (e[..., 0, 0] + e[..., 1, 0]) + e[..., 2, 0]))
+        return (_ldexp(adj, -transpose2(e), adj),
+                _ldexp(det, (e[..., 0, 0] + e[..., 1, 0]) + e[..., 2, 0]))
 
 
 def inverse2(a):
@@ -429,9 +444,9 @@ def matpow(a, n):
     """Non-negative integer power under the single contraction; a**0 is the unit tensor."""
     if n < 0 or int(n) != n:
         raise ValueError(f"matpow: exponent must be a non-negative integer, got {n}")
-    a = np.asarray(a, dtype=float)
+    a = _floating(a)
     # a copy of a, not I . a: 0 * inf would turn an overflowed entry into NaN
-    out = a.copy() if n else np.broadcast_to(ident2(), a.shape).copy()
+    out = a.copy() if n else np.broadcast_to(np.eye(DIM, dtype=a.dtype), a.shape).copy()
     for _ in range(int(n) - 1):
         out = product("dot", out, a, (2, 2))
     return out

@@ -17,21 +17,14 @@ sequential, cross or positional convention, once each operand is expressed
 in the layout native to its convention.  The row checks at the bottom verify
 this for the chain rules, the product rules and the closed-form derivatives
 of A, A^T, A^2 and A^-1.  The A^2 and A^-1 rows also compare against the
-finite-difference oracle; the report table in ``suites`` sets their
-tolerance.
+complex step Im f(A + ihE)/h, a derivative oracle exact to rounding, so
+they are held to the run's tolerance like every other row.
 """
 
 import numpy as np
 
-from .algebra import ident2, inverse2, maxabs, product, transpose2, transpose4
-from .calculus import (
-    d_inverse,
-    d_power,
-    fd_tensor_derivative,
-    product_rule_dot,
-    product_rule_scalar_tensor,
-)
-from .calculus import catalog as _calculus_catalog
+from .algebra import ident2, inverse2, matpow, maxabs, product, transpose2, transpose4
+from .calculus import d_inverse, d_power, product_rule_dot, product_rule_scalar_tensor
 from .isotropic import iso_tensor
 from .rng import near_identity, uniform_tensors
 
@@ -126,38 +119,31 @@ def _row_unit_and_transposer(rng, n):
     ]) / (1.0 + maxabs(a, 2))
 
 
-# Arguments per call of the FD oracle in _fd_error.  Its 19-point stencils
-# are the largest arrays of a block and size algebra's scratch pool (four
-# buffers of at most 19 * 9 * FD_CHUNK doubles, 1.4 MB).  With 512-trial
-# blocks, five 1,000-trial suites in one process peaked at 39.2 MB RSS in
-# chunks of 256 and at 42.2 MB with whole-block stencils (38.2 MB with
-# 256-trial blocks).
-FD_CHUNK = 256
+CSTEP = 1e-30  # h of _cstep_error
 
 
-def _fd_error(name, a, analytic):
-    """Normalized distance of the FD oracle of catalog entry ``name`` from ``analytic``.
+def _cstep_error(f, a, e, analytic):
+    """Normalized distance of the complex step of f at a along e from the analytic rule.
 
-    a is a stack of arguments and analytic their derivatives; the result is
-    one error per item.  The oracle runs on at most FD_CHUNK arguments at a
-    time, and each item's error does not depend on the chunk it falls in.
-    The rows call it before they build their other forms, so that none of
-    those is alive beside its stencils.
+    One error per item of the stacks a (arguments) and e (directions);
+    analytic holds the trailing derivatives of f at a.  Im f(a + ihe)/h
+    subtracts nothing (Squire and Trapp, SIAM Rev. 1998), so h = CSTEP can
+    be tiny and its O(h^2) truncation vanish: it is the derivative along e to
+    rounding, and so must be each convention's contraction of analytic with e.
     """
-    errors = []
-    for start in range(0, len(a), FD_CHUNK):
-        part = slice(start, start + FD_CHUNK)
-        fd = fd_tensor_derivative(_CATALOG[name], a[part])
-        errors.append(maxabs(fd - analytic[part], 4) / (1.0 + maxabs(analytic[part], 4)))
-    return np.concatenate(errors)
+    step = f(a + 1j * (CSTEP * e)).imag / CSTEP
+    return np.maximum.reduce([
+        maxabs(product("ddot_cross", analytic, e, R42) - step, 2),
+        maxabs(product("ddot_pos", to_nested_layout(analytic), e, R42) - step, 2),
+        maxabs(product("ddot_seq", analytic, transpose2(e), R42) - step, 2),
+    ]) / (1.0 + maxabs(analytic, 4) * maxabs(e, 2))
 
 
 def _row_square(rng, n):
-    (a,) = uniform_tensors(rng, n, 2)
+    a, e = uniform_tensors(rng, n, 2, 2)
     eye = ident2()
     c1 = iso_tensor("I")
     analytic = d_power(2, a)
-    fd_err = _fd_error("square", a, analytic)
     interleaved = product("box", a, eye, R22) + product("box", eye, transpose2(a), R22)
     nested = product("dot", c1, a, R42) + product("dot", a, c1, R24)
     scale = 1.0 + maxabs(a, 2)
@@ -165,14 +151,14 @@ def _row_square(rng, n):
         maxabs(interleaved - analytic, 4),
         maxabs(nested - to_nested_layout(analytic), 4),
     ) / scale
-    return np.maximum(err, fd_err)
+    return np.maximum(err, _cstep_error(lambda z: matpow(z, 2), a, e, analytic))
 
 
 def _row_inverse(rng, n):
-    a = near_identity(uniform_tensors(rng, n, 2)[0])
+    u, e = uniform_tensors(rng, n, 2, 2)
+    a = near_identity(u)
     b = inverse2(a)
     analytic = d_inverse(a)
-    fd_err = _fd_error("inverse", a, analytic)
     interleaved = -product("box", b, transpose2(b), R22)
     nested = -product("outer", b, b, R22)
     scale = 1.0 + maxabs(b, 2) ** 2
@@ -180,7 +166,7 @@ def _row_inverse(rng, n):
         maxabs(interleaved - analytic, 4),
         maxabs(nested - to_nested_layout(analytic), 4),
     ) / scale
-    return np.maximum(err, fd_err)
+    return np.maximum(err, _cstep_error(inverse2, a, e, analytic))
 
 
 def _row_scalar_times_tensor(rng, n):
@@ -197,8 +183,6 @@ def _row_scalar_times_tensor(rng, n):
         maxabs(nested - to_nested_layout(analytic), 4),
     ]) / scale
 
-
-_CATALOG = _calculus_catalog()
 
 # name -> block evaluator; perfbench/tracer.py names its bridge.row.* spans by key.
 CONVENTION_ROWS = {

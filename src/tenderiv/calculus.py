@@ -10,11 +10,12 @@ of the outer derivative with the inner one, ``ddot_cross(dphi_da, da_ds)``.
 
 The finite-difference functions are deliberately independent of the analytic
 rules: they probe the evaluator componentwise with central differences and
-serve as the oracle the analytic catalog is checked against.  The step for
-component (k, p) is h = FD_STEP * max(1, |A[k,p]|).  The componentwise
-derivatives, the catalog evaluators and the analytic rules d_invariant,
-d_power, d_inverse, product_rule_dot and product_rule_scalar_tensor also take
-a stack of arguments along leading axes, one trial per item.
+serve as the oracle of ``deriv --fd-check``.  The step for component (k, p)
+is h = FD_STEP * max(1, |A[k,p]|).  The componentwise derivatives, the
+catalog evaluators and the analytic rules d_invariant, d_power, d_inverse,
+product_rule_dot and product_rule_scalar_tensor also take a stack of
+arguments along leading axes, one trial per item.  The evaluators keep a
+complex argument complex, for bridge's complex-step oracle.
 """
 
 from dataclasses import dataclass
@@ -199,8 +200,7 @@ def catalog():
                        lambda a: d_invariant(2, a)),
         TensorFunction("I3", "scalar", lambda a: invariants(a).i3,
                        lambda a: d_invariant(3, a)),
-        TensorFunction("id", "tensor", lambda a: np.asarray(a, dtype=float).copy(),
-                       lambda a: d_power(1, a)),
+        TensorFunction("id", "tensor", lambda a: matpow(a, 1), lambda a: d_power(1, a)),
         TensorFunction("transpose", "tensor", transpose2, d_transpose),
         TensorFunction("square", "tensor", lambda a: matpow(a, 2),
                        lambda a: d_power(2, a)),

@@ -133,29 +133,24 @@ def _err_seq_transposers(rng, n):
 COUNTS = {"run": lambda t: t, "rotations": lambda t: 50, "capped": lambda t: min(t, 100),
           "once": lambda t: 1}
 
-# Tolerance classes: a report's tolerance from the run's.  Reports that compare against
-# the finite-difference oracle, whose truncation error sits far above rounding, get "fd".
-TOLERANCES = {"algebraic": lambda tol: tol, "fd": lambda tol: max(tol, 1e-9)}
-
-# name -> (block trial function, trial-count rule, tolerance class), in output order.
+# name -> (block trial function, trial-count rule), in output order.
 REPORTS = {
-    "algebra/cross-as-seq-transpose": (_err_cross_as_seq_transpose, "run", "algebraic"),
-    "algebra/ddot-symmetry": (_err_ddot_symmetry, "run", "algebraic"),
-    "algebra/dot-ddot-associativity": (_err_dot_ddot_associativity, "run", "algebraic"),
-    "algebra/pos-equals-cross-rank2": (_err_pos_equals_cross_rank2, "run", "algebraic"),
-    **{f"algebra/cross-via-seq-{x}x{y}": (partial(_err_cross_via_seq, x, y), "run", "algebraic")
+    "algebra/cross-as-seq-transpose": (_err_cross_as_seq_transpose, "run"),
+    "algebra/ddot-symmetry": (_err_ddot_symmetry, "run"),
+    "algebra/dot-ddot-associativity": (_err_dot_ddot_associativity, "run"),
+    "algebra/pos-equals-cross-rank2": (_err_pos_equals_cross_rank2, "run"),
+    **{f"algebra/cross-via-seq-{x}x{y}": (partial(_err_cross_via_seq, x, y), "run")
        for x, y in [(2, 2), (2, 4), (4, 2), (4, 4)]},
-    **{f"iso/role/{s}/{k}/{side}": (partial(_err_role, s, k, side), "run", "algebraic")
+    **{f"iso/role/{s}/{k}/{side}": (partial(_err_role, s, k, side), "run")
        for s in SCHEMES for k in KINDS for side in ("left", "right")},
-    **{f"iso/rotation-invariance/{k}": (partial(_err_rotation, k), "rotations", "algebraic")
+    **{f"iso/rotation-invariance/{k}": (partial(_err_rotation, k), "rotations")
        for k in KINDS},
-    "bridge/layout-roundtrip": (_err_layout_roundtrip, "run", "algebraic"),
-    "bridge/layout-constants": (_err_layout_constants, "once", "algebraic"),
-    "bridge/rank2-contraction": (CONVENTION_ROWS["chain_scalar"], "run", "algebraic"),
-    "bridge/rank4-contraction": (CONVENTION_ROWS["chain_tensor"], "run", "algebraic"),
-    **{f"bridge/rule/{row}": (fn, "run", "fd" if row in ("square", "inverse") else "algebraic")
-       for row, fn in CONVENTION_ROWS.items()},
-    "bridge/seq-transposer-identities": (_err_seq_transposers, "capped", "algebraic"),
+    "bridge/layout-roundtrip": (_err_layout_roundtrip, "run"),
+    "bridge/layout-constants": (_err_layout_constants, "once"),
+    "bridge/rank2-contraction": (CONVENTION_ROWS["chain_scalar"], "run"),
+    "bridge/rank4-contraction": (CONVENTION_ROWS["chain_tensor"], "run"),
+    **{f"bridge/rule/{row}": (fn, "run") for row, fn in CONVENTION_ROWS.items()},
+    "bridge/seq-transposer-identities": (_err_seq_transposers, "capped"),
 }
 
 
@@ -163,8 +158,8 @@ def run_report(name, seed, trials, tol=1e-12):
     """Run the named report for a run of ``trials`` trials at tolerance ``tol``."""
     if name not in REPORTS:
         raise ValueError(f"unknown report {name!r}")
-    trial_errors, count, tol_class = REPORTS[name]
-    return fuzz_report(name, seed, COUNTS[count](trials), TOLERANCES[tol_class](tol), trial_errors)
+    trial_errors, count = REPORTS[name]
+    return fuzz_report(name, seed, COUNTS[count](trials), tol, trial_errors)
 
 
 def full_identity_suite(seed, trials, tol=1e-12):

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from tenderiv.algebra import (
     pos_ddot_right,
     pos_dot,
     product,
+    trace,
     transpose2,
     transpose4,
 )
@@ -282,6 +284,34 @@ def test_inverse2():
     with pytest.raises(SingularTensorError) as err:
         inverse2(one_hot2(0, 0))
     assert err.value.det == 0.0
+
+
+def test_singular_complex_tensor_raises_with_the_real_part_of_its_det():
+    # a complex det once went through float(), whose ComplexWarning an
+    # error filter raised in place of SingularTensorError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularTensorError, match=r"det = 0\.000e\+00") as err:
+            inverse2(np.zeros((3, 3), complex))
+    assert err.value.det == 0.0 and type(err.value.det) is float
+
+
+def test_complex_argument_keeps_its_dtype():
+    rng = trial_rng(115, 0)
+    a = np.eye(3) + 0.3 * rng.uniform(-1.0, 1.0, (4, 3, 3))
+    z = a + 1j * rng.uniform(-1.0, 1.0, (4, 3, 3))
+    for f in (inverse2, lambda x: matpow(x, 2), lambda x: matpow(x, 0), trace,
+              lambda x: invariants(x).i3):
+        assert np.asarray(f(z)).dtype == complex
+        assert np.asarray(f(a)).dtype == float
+    assert isinstance(trace(z[0]), complex) and isinstance(product("ddot_cross", z[0], a[0]), complex)
+    assert isinstance(trace(a[0]), float) and isinstance(product("ddot_cross", a[0], a[0]), float)
+    # the inverse of a complex stack, to rounding, and exact powers of two
+    # scale its rows part by part
+    inverse = inverse2(z)
+    assert maxabs(inverse - np.linalg.inv(z)) <= 1e-14 * maxabs(inverse)
+    assert np.array_equal(inverse2(z[1]), inverse[1])
+    assert maxabs(inverse2(1e200 * z) * 1e200 - inverse) <= 1e-14 * maxabs(inverse)
 
 
 def test_inverse_det_matches_linalg_on_well_conditioned_stacks():

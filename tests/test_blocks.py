@@ -6,6 +6,9 @@ one-trial samplers of the oracles and the unbatched public operations, so a bloc
 boundary, a draw-order slip or a regrouped sum shows up as a bit difference.
 """
 
+import platform
+import subprocess
+import sys
 import threading
 from functools import partial
 
@@ -28,19 +31,20 @@ from tenderiv.algebra import (
     dot,
     ident2,
     inverse2,
+    matpow,
     maxabs,
     outer,
     pos_dot,
     product,
     transpose4,
 )
-from tenderiv.bridge import FD_CHUNK, _fd_error, to_nested_layout
-from tenderiv.calculus import catalog, d_inverse, d_power, fd_tensor_derivative
+from tenderiv.bridge import CSTEP, _cstep_error, to_nested_layout
+from tenderiv.calculus import d_inverse, d_power
 from tenderiv.isotropic import iso_tensor, rotate4
 from tenderiv.reporting import BLOCK, fuzz_report
 from tenderiv.rng import near_identity, report_rng, trial_rng, uniform_tensors
 from tenderiv.serialize import dumps
-from tenderiv.suites import REPORTS, full_identity_suite
+from tenderiv.suites import REPORTS, full_identity_suite, run_report
 
 from oracles import (
     box_oracle,
@@ -61,11 +65,12 @@ SEED = 2024
 TOL = 1e-12
 I = ident2()
 C1, C2 = iso_tensor("I"), iso_tensor("II")
-CAT = catalog()
-# one trial, and around an FD chunk and around a block: about half the size;
-# the size less one, whole and plus one; and one or two of it then a short rest
+# one trial, and around each size: about half of it; the size less one,
+# whole and plus one; and one or two of it then a short rest.  The sizes are
+# literal, so that a change of BLOCK adds cases and renames no test; BLOCK
+# is one more size.
 HALF = BLOCK // 2
-TRIAL_COUNTS = sorted({1} | {t for size in (FD_CHUNK, BLOCK) for t in (
+TRIAL_COUNTS = sorted({1} | {t for size in (256, 512, BLOCK) for t in (
     size // 2 - 1, size // 2, size // 2 + 1, size - 1, size, size + 1, size + 3, 2 * size + 3)})
 
 
@@ -145,14 +150,18 @@ def ref_product_dot(rng):
 
 def ref_inverse(rng):
     a = I + 0.3 * random_ten2(rng)
+    e = random_ten2(rng)
     b = inverse2(a)
     analytic = d_inverse(a)
     err = max(
         maxabs(-box(b, b.T) - analytic),
         maxabs(-outer(b, b) - to_nested_layout(analytic)),
     ) / (1.0 + maxabs(b) ** 2)
-    fd = fd_tensor_derivative(CAT["inverse"], a)
-    return max(err, maxabs(fd - analytic) / (1.0 + maxabs(analytic)))
+    step = inverse2(a + 1j * (CSTEP * e)).imag / CSTEP
+    cstep = max(maxabs(ddot_cross(analytic, e) - step),
+                maxabs(ddot_pos(to_nested_layout(analytic), e) - step),
+                maxabs(ddot_seq(analytic, e.T) - step)) / (1.0 + maxabs(analytic) * maxabs(e))
+    return max(err, cstep)
 
 
 def ref_scalar_times_tensor(rng):
@@ -194,7 +203,7 @@ def test_blocks_match_one_trial_at_a_time(trial_functions, name, trials):
 
 
 def test_suite_bytes_do_not_depend_on_the_block_size(monkeypatch):
-    # 1,100 trials cross block boundaries and, in the FD rows, chunk boundaries
+    # 1,100 trials cross block boundaries at every block size here
     for trials in (600, 1100):
         texts = []
         for block in (128, BLOCK, 97, 256):
@@ -221,44 +230,54 @@ def test_no_trial_function_writes_into_its_operands(monkeypatch):
     assert dumps(full_identity_suite(7, BLOCK + 3).to_obj()) == want
 
 
-def test_fd_oracle_runs_on_at_most_one_chunk_of_arguments(monkeypatch):
-    sizes = []
-
-    def recording(fn, a):
-        sizes.append(len(a))
-        return fd_tensor_derivative(fn, a)
-
-    monkeypatch.setattr(tenderiv.bridge, "fd_tensor_derivative", recording)
-    full_identity_suite(7, 2 * BLOCK + 3)
-    assert sizes and max(sizes) <= FD_CHUNK
-    # the square and inverse rows each see every trial once
-    assert sum(sizes) == 2 * (2 * BLOCK + 3)
+def d_power_transposed(n, a):
+    return transpose4(d_power(n, a), "ti")
 
 
-def fd_errors_unchunked(name, a, analytic):
-    """_fd_error's errors from one call of the FD oracle on the whole stack."""
-    fd = fd_tensor_derivative(CAT[name], a)
-    return maxabs(fd - analytic, 4) / (1.0 + maxabs(analytic, 4))
+def d_inverse_transposed(a):
+    return transpose4(d_inverse(a), "ti")
 
 
-@pytest.mark.parametrize("name, rule", [("square", partial(d_power, 2)), ("inverse", d_inverse)])
-def test_fd_error_in_chunks_equals_one_unchunked_call(name, rule):
-    (u,) = uniform_tensors(trial_rng(904, 0), 2 * FD_CHUNK + 3, 2)
-    a = near_identity(u)
-    analytic = rule(a)
-    got = _fd_error(name, a, analytic)
-    assert got.shape == (2 * FD_CHUNK + 3,)
-    assert np.array_equal(got, fd_errors_unchunked(name, a, analytic))
+def d_power_scaled(n, a):
+    return d_power(n, a) * (1.0 + 1e-10)
 
 
-def test_fd_error_keeps_a_nan_argument_in_its_trial():
-    (u,) = uniform_tensors(trial_rng(905, 0), 2 * FD_CHUNK + 3, 2)
-    a = near_identity(u)
-    poisoned = FD_CHUNK + 5  # in the second chunk
-    a[poisoned, 1, 2] = np.nan
-    with np.errstate(invalid="ignore"):
-        errors = _fd_error("square", a, d_power(2, a))
-    assert np.array_equal(np.flatnonzero(~np.isfinite(errors)), [poisoned])
+def d_inverse_scaled(a):
+    return d_inverse(a) * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("rule, mutant", [
+    ("d_power", d_power_transposed), ("d_power", d_power_scaled),
+    ("d_inverse", d_inverse_transposed), ("d_inverse", d_inverse_scaled),
+])
+def test_a_wrong_derivative_rule_fails_its_row(monkeypatch, rule, mutant):
+    name = "bridge/rule/" + ("square" if rule == "d_power" else "inverse")
+    assert run_report(name, 7, 50).passed
+    monkeypatch.setattr(tenderiv.bridge, rule, mutant)
+    report = run_report(name, 7, 50)
+    assert not report.passed and report.nonfinite == 0
+    if mutant in (d_power_scaled, d_inverse_scaled):
+        # a relative slip of 1e-10 passed these rows while they were held to
+        # the finite-difference oracle's 1e-9
+        assert report.max_abs_err < 1e-9
+
+
+@pytest.mark.parametrize("name", ["square", "inverse"])
+def test_complex_step_error_is_at_rounding_level(name):
+    f, rule = {"square": (lambda z: matpow(z, 2), partial(d_power, 2)),
+               "inverse": (inverse2, d_inverse)}[name]
+    rng = trial_rng(906, 0)
+    worst = 0.0
+    for _ in range(10):  # 10,000 near-identity arguments in ten stacks
+        u, e = uniform_tensors(rng, 1000, 2, 2)
+        a = near_identity(u)
+        errors = _cstep_error(f, a, e, rule(a))
+        assert errors.shape == (1000,) and np.all(np.isfinite(errors))
+        worst = max(worst, float(errors.max()))
+        # the oracle tells a slot-swapped derivative from the rule
+        wrong = _cstep_error(f, a, e, transpose4(rule(a), "ti"))
+        assert wrong.min() > 1e-6
+    assert 0.0 < worst <= 1e-14
 
 
 # Reports whose error is exactly 0.0 on every trial: permutations, products
@@ -297,10 +316,31 @@ def test_suite_scratch_pool_holds_only_the_shared_roles():
     thread.start()
     thread.join(timeout=120)
     assert not thread.is_alive()
-    assert {role for role, _ in pool} == {0, 1, 2, 3}
-    # the largest stacks: 19-point FD stencils of one chunk of second-rank
-    # arguments, whatever the block size
-    assert sum(buffer.nbytes for buffer in pool.values()) <= 4 * 19 * 9 * FD_CHUNK * 8
+    # one byte buffer per role, whatever dtypes the products asked of it
+    assert set(pool) == {0, 1, 2, 3}
+    assert all(buffer.dtype == np.uint8 for buffer in pool.values())
+    # the largest stacks: the terms of a block of fourth-rank products
+    assert sum(buffer.nbytes for buffer in pool.values()) <= 4 * 81 * BLOCK * 8
+
+
+FAULTS = """
+import resource
+from tenderiv.suites import full_identity_suite
+full_identity_suite(7, 1000)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+full_identity_suite(7, 1000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's page faults")
+def test_a_second_suite_reuses_its_pages():
+    # reporting raises glibc's mmap threshold at import; without that, each
+    # suite mapped fresh pages for its temporaries and took 5,000-5,800 faults
+    out = subprocess.run([sys.executable, "-c", FAULTS], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert int(out.stdout) < 500
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -312,8 +352,7 @@ def test_fuzz_report_rejects_no_trials(trials):
         fuzz_report("x", SEED, trials, TOL, must_not_run)
 
 
-# Reports whose operands come from uniform_tensors.  The inverse row is left
-# out: a NaN argument trips its finite-difference domain guard instead.
+# Reports whose operands come from uniform_tensors.
 POISONABLE = [
     "algebra/cross-as-seq-transpose",
     "algebra/ddot-symmetry",
@@ -330,6 +369,7 @@ POISONABLE = [
     "bridge/rule/product_dot",
     "bridge/rule/unit_and_transposer",
     "bridge/rule/square",
+    "bridge/rule/inverse",
     "bridge/rule/scalar_times_tensor",
 ]
 
@@ -388,8 +428,9 @@ def views(a, rank):
     return found
 
 
-# a few items; half an FD chunk, half a block and a block, and one more of each
-@pytest.mark.parametrize("n", sorted({1, 2, 5, 7, FD_CHUNK // 2, FD_CHUNK // 2 + 1,
+# a few items; 128, 256 and 512 items and one more of each; and half a block
+# and a block, and one more of each (the sizes are literal: see TRIAL_COUNTS)
+@pytest.mark.parametrize("n", sorted({1, 2, 5, 7, 128, 129, 256, 257, 512, 513,
                                       HALF, HALF + 1, BLOCK, BLOCK + 1}))
 @pytest.mark.parametrize("key", sorted(SUBSCRIPTS))
 def test_batched_product_equals_stacked_single_products(key, n):

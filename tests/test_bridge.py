@@ -108,8 +108,7 @@ def test_convention_rows_pass(row):
 
 
 def test_rule_rows_keep_algebraic_tolerance():
-    # the FD rows get max(tol, 1e-9), the algebraic rows tol, from the suite and the runner
-    fd_rows = {"bridge/rule/square", "bridge/rule/inverse"}
+    # every report, the two complex-step rule rows too, is held to the requested tol
     for tol in (1e-14, 1e-12, 1e-6):
         entry_points = {
             "full_identity_suite": full_identity_suite(1, 2, tol=tol).reports,
@@ -117,11 +116,9 @@ def test_rule_rows_keep_algebraic_tolerance():
                            for row in CONVENTION_ROWS],
         }
         for entry, reports in entry_points.items():
-            rows = [r for r in reports if r.name.startswith("bridge/rule/")]
-            assert len(rows) == 7, entry
-            for r in rows:
-                want = max(tol, 1e-9) if r.name in fd_rows else tol
-                assert r.tol == want, (entry, tol, r.name)
+            assert len([r for r in reports if r.name.startswith("bridge/rule/")]) == 7, entry
+            for r in reports:
+                assert r.tol == tol, (entry, tol, r.name)
 
 
 def test_reports_without_trials_are_rejected():
