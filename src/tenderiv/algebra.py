@@ -21,8 +21,6 @@ differ only in how they pair the inner basis vectors of their operands:
 All functions are pure and never mutate their arguments.
 """
 
-import math
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -110,10 +108,11 @@ def _plan(subscripts):
 _PLANS = {key: _plan(s) for key, s in SUBSCRIPTS.items()}
 
 # Products whose two operands' terms hold more entries than this are summed
-# in parts (see _summed).  Each mechanism here cites perfbench
-# identities-bulk without it, as the median of interleaved 8 s run pairs on
-# 2 vCPUs: with fresh buffers in place of the scratch pool, throughput fell
-# 23% (10 of 10 pairs).
+# in parts (see _summed).  A product of two 128-item fourth-rank stacks then
+# peaks at 5 times its result's bytes, not 17 (tracemalloc).  Without the
+# split, a process running full_identity_suite(7, 1000) six times peaked at
+# 42.4-42.6 MB RSS, not 38.0-38.1, and a suite's median CPU time was 85-95 ms,
+# not 64-75 (three processes each).
 _SPLIT = 4096
 
 
@@ -122,42 +121,22 @@ _SPLIT = 4096
 # operand of a leaf product through a 64 kB buffer to lengthen inner loops
 # that the batch axis, innermost and contiguous, already makes long.  The
 # setting is per thread, and elementwise results do not depend on it.
-# Without it throughput fell 7.5% (15 of 20 pairs).
+# Without it a suite's median CPU time, measured as for _SPLIT, was 85-90 ms,
+# not 78-79.
 _UFUNC_BUFFER = 16
 
-
-class _Scratch(threading.local):
-    """Each thread's pool of product's scratch buffers, one per role.
-
-    product gathers a stack's terms into roles 0 and 1 and keeps the partial
-    sums of split level d in role 2 + d (no row contracts more than two
-    labels), and returns no view of a buffer.  A buffer is bytes viewed as
-    the dtype asked for; it grows to the largest size asked of it and never
-    shrinks, so the same pages serve every call.
-    """
-
-    def __init__(self):
-        self.buffers = {}
+# A 4 MB array, freed at once: that raises glibc's mmap threshold (128 kB at
+# start) to 4 MB, so product's temporaries reuse heap pages, not fresh
+# mappings that fault in on first touch.  Without it a process's second
+# full_identity_suite(7, 1000) took 7,035 minor faults, not about 20, and
+# 63-90 ms of CPU, not 51-54 (three processes each).
+np.empty(1 << 19)
 
 
-_SCRATCH = _Scratch()
-
-
-def _scratch(role, shape, dtype):
-    """This thread's buffer for ``role`` as an uninitialized ``dtype`` array of ``shape``."""
-    size = math.prod(shape) * dtype.itemsize
-    buffers = _SCRATCH.buffers
-    buffer = buffers.get(role)
-    if buffer is None or buffer.size < size:
-        buffer = buffers[role] = np.empty(size, np.uint8)
-    return buffer[:size].view(dtype).reshape(shape)
-
-
-def _terms(a, side, batch, role):
+def _terms(a, side, batch):
     """The entries side's index picks from each item of a, ahead of its ``batch`` batch axes.
 
-    A C-ordered copy: of a stack, in this thread's buffer for ``role``; of
-    one tensor, a fresh array from one take.
+    A fresh C-ordered array: of a stack, a copy; of one tensor, one take.
     """
     index, axes = side
     lead = a.ndim - len(axes)
@@ -167,35 +146,26 @@ def _terms(a, side, batch, role):
         return a.take(index).reshape(index.shape + (1,) * batch) if batch else a.take(index)
     # a view with the batch axes last, then copied
     a = a.transpose((*[lead + i for i in axes], *range(lead)))
-    a = a.reshape(index.shape + (1,) * (batch - lead) + a.shape[len(axes):])
-    out = _scratch(role, a.shape, a.dtype)
-    out[...] = a
-    return out
+    return a.reshape(index.shape + (1,) * (batch - lead) + a.shape[len(axes):]).copy()
 
 
-def _summed(x, y, n, out=None, depth=0):
+def _summed(x, y, n):
     """The sum of x * y over their n leading axes, (t0 + t1) + t2 each, the last outermost.
 
-    Written to ``out`` when given.  Large products split along the last of
-    the n axes, and sum each part after the first into a scratch buffer (one
-    per split level), so that a batched product allocates only its result:
-    whole, the terms of two 128-item fourth-rank stacks take 750 kB, and
-    temporaries that size cost page faults on every call.  Without the
-    split, throughput fell 20% (8 of 10 pairs) and peak RSS rose 1.5 MB.
+    Large products split along the last of the n axes and add each later
+    part into the first, so no temporary holds more than one part's terms
+    (see _SPLIT).
     """
     if n and x.size + y.size > _SPLIT:
         at = (slice(None),) * (n - 1)
-        out = _summed(x[at + (0,)], y[at + (0,)], n - 1, out, depth + 1)
-        part = _scratch(2 + depth, out.shape, out.dtype)
+        out = _summed(x[at + (0,)], y[at + (0,)], n - 1)
         for i in (1, 2):
-            out += _summed(x[at + (i,)], y[at + (i,)], n - 1, part, depth + 1)
+            out += _summed(x[at + (i,)], y[at + (i,)], n - 1)
         return out
-    if not n:
-        return np.multiply(x, y, out=out)
     terms = x * y
-    for _ in range(n - 1):
+    for _ in range(n):
         terms = terms[0] + terms[1] + terms[2]
-    return np.add(terms[0] + terms[1], terms[2], out=out)
+    return terms
 
 
 def product(op, x, y, ranks=None):
@@ -209,9 +179,8 @@ def product(op, x, y, ranks=None):
     tensors, ``ranks = (x.ndim, y.ndim)``.  A scalar result is a Python number.
     No BLAS call sums the terms (see _summed): the bits do not depend on the
     CPU, and a batched product equals the stack of single products bit for
-    bit, whatever the operands' strides.  A large batched product allocates
-    only its result: its terms and partial sums go to buffers that each
-    thread keeps, so threads may call it at once.
+    bit, whatever the operands' strides.  Every result is a fresh array,
+    never a view of an operand.
 
     Raises RankError when the table has no row for the operand ranks or when
     an operand axis does not have length 3.
@@ -225,7 +194,7 @@ def product(op, x, y, ranks=None):
                         f"for ranks {ranks}")
     x_side, y_side, contracted = plan
     batch = max(x.ndim - rx, y.ndim - ry)
-    x, y = _terms(x, x_side, batch, 0), _terms(y, y_side, batch, 1)
+    x, y = _terms(x, x_side, batch), _terms(y, y_side, batch)
     if x.size + y.size <= _SPLIT:
         out = _summed(x, y, contracted)
     else:  # see _UFUNC_BUFFER

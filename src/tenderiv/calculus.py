@@ -11,8 +11,8 @@ of the outer derivative with the inner one, ``ddot_cross(dphi_da, da_ds)``.
 The finite-difference functions are deliberately independent of the analytic
 rules: they probe the evaluator componentwise with central differences and
 serve as the oracle of ``deriv --fd-check``.  The step for component (k, p)
-is h = FD_STEP * max(1, |A[k,p]|).  The componentwise derivatives, the
-catalog evaluators and the analytic rules d_invariant, d_power, d_inverse,
+is h = FD_STEP * max(1, |A[k,p]|); they take one argument.  The catalog
+evaluators and the analytic rules d_invariant, d_power, d_inverse,
 product_rule_dot and product_rule_scalar_tensor also take a stack of
 arguments along leading axes, one trial per item.  The evaluators keep a
 complex argument complex, for bridge's complex-step oracle.
@@ -53,9 +53,9 @@ class TensorFunction:
     ``kind`` is 'scalar' or 'tensor'.  ``deriv`` returns the trailing-layout
     derivative (second rank for scalar functions, fourth rank for tensor
     functions).  ``func`` takes one argument or a stack of arguments along
-    leading axes and answers item by item: the finite differences hand it a
-    whole stencil as one stack.  It raises SingularTensorError outside its
-    domain.
+    leading axes and answers item by item: the finite differences hand it
+    the 19 points of one argument's stencil as one stack.  It raises
+    SingularTensorError outside its domain.
     """
 
     name: str
@@ -81,31 +81,31 @@ def _stencil_point(j):
 
 
 def _central_differences(fn, a, value_shape):
-    """Central difference over each argument component, written to out[..., k, p].
+    """Central difference over each component of the argument, written to out[..., k, p].
 
-    a is one argument or a stack of them.  The stencil of every argument, the
-    base point and then its 18 probes, goes through one call of fn.func; a
-    SingularTensorError there is a DomainError naming the first singular
-    point, in trial order and then stencil order.
+    The stencil, the base point and then its 18 probes, goes through one
+    call of fn.func; a SingularTensorError there is a DomainError naming the
+    first singular point in stencil order.  Raises ValueError when a is not
+    one (3, 3) argument.
     """
     a = np.asarray(a, dtype=float)
-    batch = a.shape[:-2]
+    if a.shape != (DIM, DIM):
+        raise ValueError(f"{fn.name}: finite differences take one (3, 3) argument, "
+                         f"got shape {a.shape}")
     h = FD_STEP * np.maximum(1.0, np.abs(a))
-    stencil = np.broadcast_to(a[..., None, :, :], batch + (_STENCIL, DIM, DIM)).copy()
-    points = stencil.reshape(batch + (_STENCIL, DIM * DIM))
-    flat_a, flat_h = a.reshape(batch + (DIM * DIM,)), h.reshape(batch + (DIM * DIM,))
-    points[..., _PLUS, _COMPONENTS] = flat_a + flat_h
-    points[..., _MINUS, _COMPONENTS] = flat_a - flat_h
+    stencil = np.broadcast_to(a, (_STENCIL, DIM, DIM)).copy()
+    points = stencil.reshape((_STENCIL, DIM * DIM))
+    points[_PLUS, _COMPONENTS] = a.ravel() + h.ravel()
+    points[_MINUS, _COMPONENTS] = a.ravel() - h.ravel()
     try:
-        values = fn.func(stencil.reshape((-1, DIM, DIM)))
+        values = fn.func(stencil)
     except SingularTensorError as exc:
         raise DomainError(f"{fn.name}: domain guard fails at "
-                          f"{_stencil_point(exc.index % _STENCIL)}") from None
-    values = np.reshape(values, (-1, _STENCIL) + value_shape)[:, 1:]
-    values = values.reshape(batch + (DIM, DIM, 2) + value_shape)
-    plus, minus = np.moveaxis(values, len(batch) + 2, 0)
-    out = (plus - minus) / (2.0 * h.reshape(h.shape + (1,) * len(value_shape)))
-    return np.ascontiguousarray(np.moveaxis(out, (len(batch), len(batch) + 1), (-2, -1)))
+                          f"{_stencil_point(exc.index)}") from None
+    values = np.reshape(values, (_STENCIL,) + value_shape)
+    step = 2.0 * h.reshape((DIM * DIM,) + (1,) * len(value_shape))
+    out = ((values[_PLUS] - values[_MINUS]) / step).reshape((DIM, DIM) + value_shape)
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 
 def fd_scalar_derivative(fn, a):

@@ -9,16 +9,11 @@ from .rng import report_rng
 # Trials evaluated together by fuzz_report.  Each block costs a report about
 # 90 us of Python calls and short numpy loops whatever its size, so larger
 # blocks run faster; memory sets the limit.  At 512 the suite ran 1.15-1.2x
-# as many trials per second as at 256 for 3% more peak memory; at 1024 the
-# products' own stacks would grow the scratch pool from 1,327 to 2,654 kB.
+# as many trials per second as at 256 for 3% more peak memory.  At 1024 a
+# process running full_identity_suite(7, 4096) six times peaked at 40.9-41.3
+# MB RSS, not 37.8-38.1, and was no faster: a suite's median CPU time was
+# 225-274 ms, against 208-276 at 512 (five processes each).
 BLOCK = 512
-
-# A 4 MB array, freed at once: that raises glibc's mmap threshold (128 kB at
-# start) to 4 MB, so a block's temporaries reuse heap pages, not fresh
-# mappings that fault in on first touch.  Without it a process's second
-# full_identity_suite(7, 1000) took 5,100-5,800 minor faults, not 0 (600-800
-# per report on fourth-rank operands), and 90-99 ms of CPU, not 65-83.
-np.empty(1 << 19)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-import tenderiv.algebra
 from tenderiv.algebra import (
     SUBSCRIPTS,
     RankError,
@@ -482,10 +481,6 @@ def test_cross_is_seq_through_c2(ranks):
 # batched kernel memory
 # ---------------------------------------------------------------------------
 
-def _scratch_buffers():
-    return list(tenderiv.algebra._SCRATCH.buffers.values())
-
-
 @pytest.mark.parametrize("n", [19, 128])
 def test_product_results_own_their_memory(n):
     rng = trial_rng(120, n)
@@ -496,7 +491,7 @@ def test_product_results_own_their_memory(n):
         x, y = operands[rx][0], operands[ry][1]
         out = product(op, x, y, (rx, ry))
         assert out.shape[0] == n
-        for other in [x, y, *_scratch_buffers()] + ([] if previous is None else [previous]):
+        for other in [x, y] + ([] if previous is None else [previous]):
             assert not np.shares_memory(out, other), (op, rx, ry)
         previous = out
         if len(kept) < 2:
@@ -510,29 +505,30 @@ def test_product_results_own_their_memory(n):
 
 
 def test_inverse_det_results_own_their_memory():
-    # 19 x 256 items, as in a finite-difference block: inverse_det's results
-    # are fresh arrays, which a later product's scratch pool leaves alone
+    # inverse_det's results are fresh arrays, which a later product leaves alone
     stack = np.eye(3) + 0.3 * trial_rng(122, 0).uniform(-1.0, 1.0, (19 * 256, 3, 3))
     inverse, det = inverse_det(stack)
     kept = inverse.copy(), det.copy()
     for out in (inverse, det):
-        for other in [stack, *_scratch_buffers()]:
-            assert not np.shares_memory(out, other)
-    product("dot", stack, stack, (2, 2))  # reuses the pool
+        assert not np.shares_memory(out, stack)
+    product("dot", stack, stack, (2, 2))
     assert np.array_equal(inverse, kept[0]) and np.array_equal(det, kept[1])
 
 
-def test_batched_product_allocates_only_its_result():
+@pytest.mark.parametrize("op", ["ddot_seq", "ddot_cross", "ddot_pos"])
+def test_split_product_peak_memory_stays_near_its_result(op):
+    # whole, the 729 x 128 terms of two 128-item fourth-rank stacks take 9
+    # results' bytes and their sum peaks at 17; summed in parts (see
+    # algebra._SPLIT), it peaks at 5
     rng = trial_rng(121, 0)
     x, y = rng.uniform(-1.0, 1.0, (2, 128, 3, 3, 3, 3))
-    product("ddot_seq", x, y, (4, 4))  # grows the scratch buffers
-    # tracemalloc sees numpy's data allocations; the slack is a few small
-    # Python objects (views, tuples)
+    product(op, x, y, (4, 4))
+    # tracemalloc sees numpy's data allocations
     tracemalloc.start()
     try:
-        out = product("ddot_seq", x, y, (4, 4))
+        out = product(op, x, y, (4, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.nbytes == 128 * 81 * 8
-    assert peak <= out.nbytes + 8192, peak
+    assert peak <= 6 * out.nbytes, peak

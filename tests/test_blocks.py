@@ -9,13 +9,11 @@ boundary, a draw-order slip or a regrouped sum shows up as a bit difference.
 import platform
 import subprocess
 import sys
-import threading
 from functools import partial
 
 import numpy as np
 import pytest
 
-import tenderiv.algebra
 import tenderiv.bridge
 import tenderiv.reporting
 import tenderiv.rng
@@ -304,25 +302,6 @@ def test_exact_reports_stay_exactly_zero(seed):
     assert sorted(exact) == sorted(EXACT_REPORTS + iso_roles)
 
 
-def test_suite_scratch_pool_holds_only_the_shared_roles():
-    # a fresh thread starts with an empty pool
-    pool = {}
-
-    def run():
-        full_identity_suite(7, 2 * BLOCK + 3)
-        pool.update(tenderiv.algebra._SCRATCH.buffers)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    # one byte buffer per role, whatever dtypes the products asked of it
-    assert set(pool) == {0, 1, 2, 3}
-    assert all(buffer.dtype == np.uint8 for buffer in pool.values())
-    # the largest stacks: the terms of a block of fourth-rank products
-    assert sum(buffer.nbytes for buffer in pool.values()) <= 4 * 81 * BLOCK * 8
-
-
 FAULTS = """
 import resource
 from tenderiv.suites import full_identity_suite
@@ -336,8 +315,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="counts glibc's page faults")
 def test_a_second_suite_reuses_its_pages():
-    # reporting raises glibc's mmap threshold at import; without that, each
-    # suite mapped fresh pages for its temporaries and took 5,000-5,800 faults
+    # algebra raises glibc's mmap threshold at import; without that, each
+    # suite maps fresh pages for its temporaries and takes about 7,000 faults
     out = subprocess.run([sys.executable, "-c", FAULTS], capture_output=True, text=True,
                          check=True, timeout=120)
     assert int(out.stdout) < 500

@@ -119,7 +119,7 @@ def test_identities_output_is_pinned(tmp_path):
 
 def test_identities_bytes_do_not_depend_on_python_threads():
     # suites at once, one per thread (more threads than cores, switched often),
-    # each with its own kernel scratch
+    # each with its own ufunc buffer setting
     seeds = (42, 7, 42, 7)
     serial = {seed: dumps(full_identity_suite(seed, 200).to_obj()) for seed in set(seeds)}
     assert serial[42] == (DATA / "identities_seed42_trials200.json").read_text()

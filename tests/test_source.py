@@ -9,9 +9,10 @@ names each such use.  The one-trial references of test_blocks.py compare
 bits with the package, so they are walked too; the np.linalg oracles of
 oracles.py compare within a tolerance and are exempt.
 
-The batched kernel is fast because it reuses its own buffers; glibc settings
-(mallopt through ctypes, MALLOC_* variables) would hide a regression there,
-so no file under src/ may name them.
+The batched kernel's temporaries reuse heap pages because algebra frees one
+large array at import; glibc settings (mallopt through ctypes, MALLOC_*
+variables) would hide a regression there, so no file under src/ may name
+them.
 
 basis.make_basis builds its reciprocal frame from cross products in Python
 floats, the steps of inverse_det written out for one frame, and
