@@ -109,10 +109,10 @@ _PLANS = {key: _plan(s) for key, s in SUBSCRIPTS.items()}
 
 # Products whose two operands' terms hold more entries than this are summed
 # in parts (see _summed).  A product of two 128-item fourth-rank stacks then
-# peaks at 5 times its result's bytes, not 17 (tracemalloc).  Without the
-# split, a process running full_identity_suite(7, 1000) six times peaked at
-# 42.4-42.6 MB RSS, not 38.0-38.1, and a suite's median CPU time was 85-95 ms,
-# not 64-75 (three processes each).
+# peaks at 3 times its result's bytes, not 15 (5, not 17, from C-ordered
+# copies; tracemalloc).  Without the split, a process running six
+# full_identity_suite(7, 1000) peaked at 41.2 MB RSS, not 38.5, and a suite's
+# median CPU time was 49.8 ms, not 42.8 (medians of ten processes each).
 _SPLIT = 4096
 
 
@@ -121,22 +121,24 @@ _SPLIT = 4096
 # operand of a leaf product through a 64 kB buffer to lengthen inner loops
 # that the batch axis, innermost and contiguous, already makes long.  The
 # setting is per thread, and elementwise results do not depend on it.
-# Without it a suite's median CPU time, measured as for _SPLIT, was 85-90 ms,
-# not 78-79.
+# Without it a suite's median CPU time, measured as for _SPLIT, was 46.9 ms,
+# not 42.8 (9 of 10 processes slower).
 _UFUNC_BUFFER = 16
 
 # A 4 MB array, freed at once: that raises glibc's mmap threshold (128 kB at
 # start) to 4 MB, so product's temporaries reuse heap pages, not fresh
 # mappings that fault in on first touch.  Without it a process's second
-# full_identity_suite(7, 1000) took 7,035 minor faults, not about 20, and
-# 63-90 ms of CPU, not 51-54 (three processes each).
+# full_identity_suite(7, 1000) took 6,456 minor faults, not 11, and a suite's
+# median CPU time, measured as for _SPLIT, was 46.5 ms, not 42.8.
 np.empty(1 << 19)
 
 
 def _terms(a, side, batch):
     """The entries side's index picks from each item of a, ahead of its ``batch`` batch axes.
 
-    A fresh C-ordered array: of a stack, a copy; of one tensor, one take.
+    Of one tensor, one take.  Of a stack, a view when its last batch axis
+    is contiguous (as in rng.uniform_tensors' stacks and product's results),
+    else a C-ordered copy.
     """
     index, axes = side
     lead = a.ndim - len(axes)
@@ -144,9 +146,10 @@ def _terms(a, side, batch):
     # basis-invariance throughput fell 10% (median of 20 interleaved pairs)
     if not lead:
         return a.take(index).reshape(index.shape + (1,) * batch) if batch else a.take(index)
-    # a view with the batch axes last, then copied
+    # a view with the batch axes last
     a = a.transpose((*[lead + i for i in axes], *range(lead)))
-    return a.reshape(index.shape + (1,) * (batch - lead) + a.shape[len(axes):]).copy()
+    a = a.reshape(index.shape + (1,) * (batch - lead) + a.shape[len(axes):])
+    return a if a.strides[-1] == a.itemsize else a.copy()
 
 
 def _summed(x, y, n):
@@ -180,7 +183,8 @@ def product(op, x, y, ranks=None):
     No BLAS call sums the terms (see _summed): the bits do not depend on the
     CPU, and a batched product equals the stack of single products bit for
     bit, whatever the operands' strides.  Every result is a fresh array,
-    never a view of an operand.
+    never a view of an operand, with its batch axes innermost in memory: it
+    enters a later product uncopied, as do rng.uniform_tensors' stacks.
 
     Raises RankError when the table has no row for the operand ranks or when
     an operand axis does not have length 3.

@@ -12,7 +12,9 @@ Reports draw a block of trials at a time (``uniform_tensors``,
 trial t-1's in the stream, in argument order, as one ``uniform`` draw per
 operand and trial would give them (the one-trial reference samplers in
 ``tests/oracles.py``).  So the operands of a trial do not depend on the
-block size.
+block size.  The stacks are views of one transposed copy of the draw, with
+the trial axis innermost in memory, the layout ``algebra.product`` sums in:
+the copy moves values, never the draw order.
 """
 
 # hashlib.blake2b itself, without the OpenSSL bindings that import hashlib loads
@@ -42,17 +44,20 @@ def report_rng(seed, name):
 def uniform_tensors(rng, n, *ranks):
     """Operands of n trials, entries uniform in [-1, 1]: one (n, 3, ..., 3) stack per rank.
 
-    One draw of shape (n, k), k the entries of one trial, is split by columns,
-    so row t holds trial t's operands in argument order.  Each stack is a
-    view of its columns, not a copy: the stacks share the draw's memory and
-    consecutive items lie k entries apart.  Callers only read them.  Rank 0
-    gives an (n,) array of scalars.
+    One draw of shape (n, k), k the entries of one trial, holds trial t's
+    operands in row t, in argument order.  It is copied once, transposed to
+    (k, n), and each stack is a view of its rows: the stacks share that
+    memory, and consecutive items lie one entry apart, so product reads them
+    without a copy.  Callers only read them.  Rank 0 gives an (n,) array of
+    scalars.
     """
     sizes = [DIM**r for r in ranks]
-    u = rng.uniform(-1.0, 1.0, (n, sum(sizes)))
+    u = rng.uniform(-1.0, 1.0, (n, sum(sizes))).T.copy()
     stacks, start = [], 0
     for rank, size in zip(ranks, sizes):
-        stacks.append(u[:, start:start + size].reshape((n,) + (DIM,) * rank))
+        stack = u[start:start + size].reshape((DIM,) * rank + (n,))
+        # transpose, not np.moveaxis: 3.4 us more a stack, 0.4 ms of a 1000-trial suite
+        stacks.append(stack.transpose(rank, *range(rank)))
         start += size
     return stacks
 

@@ -30,7 +30,7 @@ from tenderiv.algebra import (
     transpose4,
 )
 from tenderiv.isotropic import iso_tensor
-from tenderiv.rng import trial_rng
+from tenderiv.rng import trial_rng, uniform_tensors
 
 import oracles
 from oracles import hamilton_cayley_residual, one_hot2, one_hot4, random_ten2, random_ten4
@@ -532,3 +532,27 @@ def test_split_product_peak_memory_stays_near_its_result(op):
         tracemalloc.stop()
     assert out.nbytes == 128 * 81 * 8
     assert peak <= 6 * out.nbytes, peak
+
+
+def test_drawn_stacks_are_read_in_place():
+    # uniform_tensors lays a block's stacks out trial-innermost, the order
+    # product sums in, as views of one buffer; product then reads them
+    # without copying: two 512-item fourth-rank stacks peak at 3 times the
+    # result's bytes, and C-ordered copies of them at 5 (tracemalloc)
+    x, y = uniform_tensors(trial_rng(122, 0), 512, 4, 4)
+    assert x.strides[0] == y.strides[0] == x.itemsize
+    assert x.base is not None and x.base is y.base
+
+    def peak_per_result(x, y):
+        product("ddot_cross", x, y, (4, 4))
+        tracemalloc.start()
+        try:
+            out = product("ddot_cross", x, y, (4, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (512, 3, 3, 3, 3)
+        return peak / out.nbytes
+
+    assert peak_per_result(x, y) <= 4
+    assert peak_per_result(np.ascontiguousarray(x), np.ascontiguousarray(y)) <= 6

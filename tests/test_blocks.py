@@ -211,9 +211,37 @@ def test_suite_bytes_do_not_depend_on_the_block_size(monkeypatch):
             assert text == texts[0]
 
 
+def test_suite_bytes_do_not_depend_on_the_operand_layout(monkeypatch):
+    # Over 3 entries np.sum and np.trace give the same bits whether the trial
+    # axis is innermost or outermost, but a 9-entry np.sum does not (numpy sums
+    # a contiguous run pairwise), so no suite path may reduce more than 3
+    # entries with numpy's reductions.  The operands come here as C-ordered
+    # copies and as trial-major views of one draw.
+    real = tenderiv.rng.uniform_tensors
+
+    def c_ordered(rng, n, *ranks):
+        return [np.ascontiguousarray(stack) for stack in real(rng, n, *ranks)]
+
+    def trial_major(rng, n, *ranks):
+        u = np.concatenate([stack.reshape(n, -1) for stack in real(rng, n, *ranks)], axis=1)
+        stacks, start = [], 0
+        for rank in ranks:
+            stacks.append(u[:, start:start + 3**rank].reshape((n,) + (3,) * rank))
+            start += 3**rank
+        return stacks
+
+    for seed, trials in ((7, 1100), (42, 600)):
+        want = dumps(full_identity_suite(seed, trials).to_obj())
+        for layout in (c_ordered, trial_major):
+            for module in (tenderiv.suites, tenderiv.bridge):
+                monkeypatch.setattr(module, "uniform_tensors", layout)
+            assert dumps(full_identity_suite(seed, trials).to_obj()) == want, layout.__name__
+            monkeypatch.undo()
+
+
 def test_no_trial_function_writes_into_its_operands(monkeypatch):
-    # uniform_tensors hands out views of one draw, on the condition that its
-    # callers only read them
+    # uniform_tensors hands out views of one copy of its draw, on the
+    # condition that its callers only read them
     want = dumps(full_identity_suite(7, BLOCK + 3).to_obj())
     real = tenderiv.rng.uniform_tensors
 
@@ -316,7 +344,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
                     reason="counts glibc's page faults")
 def test_a_second_suite_reuses_its_pages():
     # algebra raises glibc's mmap threshold at import; without that, each
-    # suite maps fresh pages for its temporaries and takes about 7,000 faults
+    # suite maps fresh pages for its temporaries and takes about 6,500 faults
     out = subprocess.run([sys.executable, "-c", FAULTS], capture_output=True, text=True,
                          check=True, timeout=120)
     assert int(out.stdout) < 500
@@ -390,7 +418,7 @@ STORED_ORDERS = {
 
 
 def views(a, rank):
-    """The stack a as an array and as strided and slot-permuted views of its values."""
+    """The stack a as an array and as strided, slot-permuted and trial-innermost views of it."""
     found = [a]
     spread = np.zeros((2 * len(a),) + a.shape[1:])
     spread[::2] = a  # every other item of a longer stack
@@ -402,6 +430,12 @@ def views(a, rank):
     for order in STORED_ORDERS[rank]:
         stored = np.ascontiguousarray(a.transpose(0, *(1 + i for i in order)))
         found.append(stored.transpose(0, *(1 + i for i in np.argsort(order))))
+    # stored trial-innermost, as uniform_tensors lays out its stacks, with the
+    # slots in order and permuted: product reads these without a copy
+    for slots in (range(rank), STORED_ORDERS[rank][0]):
+        stored = np.ascontiguousarray(a.transpose(*(1 + i for i in slots), 0))
+        found.append(stored.transpose(rank, *np.argsort(slots)))
+        assert found[-1].strides[0] == a.itemsize or len(a) == 1
     for view in found:
         assert np.array_equal(view, a)
     return found
