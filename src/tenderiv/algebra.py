@@ -418,8 +418,8 @@ def matpow(a, n):
     if n < 0 or int(n) != n:
         raise ValueError(f"matpow: exponent must be a non-negative integer, got {n}")
     a = _floating(a)
-    # a copy of a, not I . a: 0 * inf would turn an overflowed entry into NaN
-    out = a.copy() if n else np.broadcast_to(np.eye(DIM, dtype=a.dtype), a.shape).copy()
+    # a copy of a, in its layout, not I . a: 0 * inf would turn an overflowed entry into NaN
+    out = a.copy(order="K") if n else np.broadcast_to(np.eye(DIM, dtype=a.dtype), a.shape).copy()
     for _ in range(int(n) - 1):
         out = product("dot", out, a, (2, 2))
     return out

@@ -11,14 +11,14 @@ Derivatives of tensor-valued functions circulate in two index layouts:
 The two are linked by fourth-rank transposes: nested = (trailing^ti)^dr and
 trailing = (nested^dr)^ti, a pure slot permutation either way.
 
-Cross-convention consistency means: contractions of second- or fourth-rank
-tensors with a derivative give the same answer whether written with the
-sequential, cross or positional convention, once each operand is expressed
-in the layout native to its convention.  The row checks at the bottom verify
-this for the chain rules, the product rules and the closed-form derivatives
-of A, A^T, A^2 and A^-1.  The A^2 and A^-1 rows also compare against the
-complex step Im f(A + ihE)/h, a derivative oracle exact to rounding, so
-they are held to the run's tolerance like every other row.
+Cross-convention consistency means: a contraction with a derivative gives
+the same answer under the cross convention on the trailing form and under
+the positional one on the nested form.  The rows at the bottom check this
+for the chain rules, the product rules and the derivatives of A, A^T, A^2
+and A^-1.  The sequential route through C_II and the cross roles of C_II and
+C_III are checked by algebra/cross-via-seq-* and iso/role/cross/*, not here.
+The A^2 and A^-1 rows also compare against the complex step Im f(A + ihE)/h,
+a derivative oracle exact to rounding, held to the run's tolerance.
 """
 
 import numpy as np
@@ -43,36 +43,31 @@ def to_trailing_layout(d4):
 
 
 def rank2_bridge_error(a, l1):
-    """Normalized disagreement of the three ways to contract a with a derivative.
+    """Normalized disagreement of the two layouts' contractions of a with a derivative.
 
-    With the derivative l1 in trailing layout, the positional contraction of a
-    with the nested form, the cross contraction with l1 and the sequential
-    contraction routed through C_II all name the same second-rank tensor.
+    With l1 in trailing layout, the positional contraction of a with the
+    nested form and the cross contraction with l1 sum the same products in
+    the same order; algebra/cross-via-seq-2x4 checks the sequential route.
     a and l1 may be stacks along matching leading axes; so is the result.
     """
-    c2 = iso_tensor("II")
     p_pos = product("ddot_pos", a, to_nested_layout(l1), R24)
     p_cross = product("ddot_cross", a, l1, R24)
-    p_seq = product("ddot_seq", product("ddot_seq", a, c2, R24), l1, R24)
     scale = 1.0 + maxabs(a, 2) * maxabs(l1, 4)
-    return np.maximum(maxabs(p_pos - p_cross, 2), maxabs(p_seq - p_cross, 2)) / scale
+    return maxabs(p_pos - p_cross, 2) / scale
 
 
 def rank4_bridge_error(l1a, l1b):
     """Normalized disagreement for the contraction of two derivatives.
 
     The positional contraction of the two nested forms equals the nested form
-    of the cross contraction of the trailing forms, and the sequential
-    contraction routed through C_II equals the cross contraction.  The
-    operands may be stacks along matching leading axes; so is the result.
+    of the cross contraction of the trailing forms exactly;
+    algebra/cross-via-seq-4x4 checks the sequential route.  The operands may
+    be stacks along matching leading axes; so is the result.
     """
-    c2 = iso_tensor("II")
     p_cross = product("ddot_cross", l1a, l1b, R44)
     p_pos = product("ddot_pos", to_nested_layout(l1a), to_nested_layout(l1b), R44)
-    p_seq = product("ddot_seq", product("ddot_seq", l1a, c2, R44), l1b, R44)
     scale = 1.0 + maxabs(l1a, 4) * maxabs(l1b, 4)
-    return np.maximum(maxabs(p_pos - to_nested_layout(p_cross), 4),
-                      maxabs(p_seq - p_cross, 4)) / scale
+    return maxabs(p_pos - to_nested_layout(p_cross), 4) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -106,17 +101,14 @@ def _row_product_dot(rng, n):
 
 
 def _row_unit_and_transposer(rng, n):
-    # C_II is the cross unit and C_III the cross transposer; their nested
-    # forms play the same roles under the positional contraction.
+    # nested C_II is the positional unit and nested C_III its transposer; the
+    # cross roles of C_II and C_III are iso/role/cross/{II,III}/left's
     (a,) = uniform_tensors(rng, n, 2)
-    at = transpose2(a)
     c2, c3 = iso_tensor("II"), iso_tensor("III")
-    return np.maximum.reduce([
-        maxabs(product("ddot_cross", a, c2, R24) - a, 2),
+    return np.maximum(
         maxabs(product("ddot_pos", a, to_nested_layout(c2), R24) - a, 2),
-        maxabs(product("ddot_cross", a, c3, R24) - at, 2),
-        maxabs(product("ddot_pos", a, to_nested_layout(c3), R24) - at, 2),
-    ]) / (1.0 + maxabs(a, 2))
+        maxabs(product("ddot_pos", a, to_nested_layout(c3), R24) - transpose2(a), 2),
+    ) / (1.0 + maxabs(a, 2))
 
 
 CSTEP = 1e-30  # h of _cstep_error

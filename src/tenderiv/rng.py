@@ -12,9 +12,9 @@ Reports draw a block of trials at a time (``uniform_tensors``,
 trial t-1's in the stream, in argument order, as one ``uniform`` draw per
 operand and trial would give them (the one-trial reference samplers in
 ``tests/oracles.py``).  So the operands of a trial do not depend on the
-block size.  The stacks are views of one transposed copy of the draw, with
-the trial axis innermost in memory, the layout ``algebra.product`` sums in:
-the copy moves values, never the draw order.
+block size.  ``uniform_tensors``' stacks are views of one transposed copy of
+the draw, trial axis innermost, as ``algebra.product`` sums (the copy moves
+values, never the draw order); ``orthogonal_tensors`` is C-ordered.
 """
 
 # hashlib.blake2b itself, without the OpenSSL bindings that import hashlib loads

@@ -3,11 +3,13 @@
 ``run_report`` runs one row of the report table ``REPORTS`` by name and
 ``full_identity_suite`` runs every row in order.
 
-Every report normalizes its worst absolute error by (1 + product of operand
-max-norms), so the configured tolerance is a pure rounding allowance.  Each
-report runs through ``reporting.fuzz_report``, which draws all of its trials
-from one Philox generator keyed by (seed, report name); results are
-independent of execution order.
+A report divides each trial's worst absolute error by 1 plus the size of
+the terms it compares, so the tolerance is a rounding allowance.  The size
+is the product of the operands' max-norms, or a rule row's own (max|A^-1|^2
+for the inverse, max|D| max|E| for a complex step); the layout, rotation
+and C_II : C_II checks, of permuted entries or 0/1 constants, divide by 1.
+Each report's trials come from one Philox generator keyed by (seed, report
+name) (``reporting.fuzz_report``), whatever the execution order.
 
 The trial functions here take ``(rng, n)`` and evaluate a block of n trials
 at once: they draw the block's operands in trial-major order

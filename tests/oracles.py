@@ -8,8 +8,9 @@ comparing the two paths is a genuine dual-route check.  The checks at the end
 derivative, characteristic polynomial) are written in plain numpy and take
 the package's results only as inputs.  The samplers draw one tensor per call
 with plain numpy; the package's block draws must give the same numbers trial
-by trial.  The JSON objects at the very end are the CLI's input schemas built
-from nested lists.
+by trial.  ``maxabs`` is the tests' largest absolute entry, written here so
+that no test measures an error with ``tenderiv.algebra.maxabs``.  The JSON
+objects at the very end are the CLI's input schemas built from nested lists.
 """
 
 import itertools
@@ -31,6 +32,11 @@ def one_hot4(i, j, k, l):
     e = np.zeros((3, 3, 3, 3))
     e[i, j, k, l] = 1.0
     return e
+
+
+def maxabs(x):
+    """Largest absolute entry of an array, as a float."""
+    return float(np.max(np.abs(x)))
 
 
 def random_ten2(rng):

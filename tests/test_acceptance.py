@@ -28,6 +28,7 @@ from oracles import (
     d_invariant_3_compact,
     hamilton_cayley_residual,
     linearization_check,
+    maxabs,
     random_frame,
     random_invertible,
     random_near_identity,
@@ -37,10 +38,6 @@ from oracles import (
 
 SEED = 42
 CAT = catalog()
-
-
-def maxabs(x):
-    return float(np.max(np.abs(x)))
 
 
 def record(num, description, ok, detail):

@@ -33,7 +33,7 @@ from tenderiv.isotropic import iso_tensor
 from tenderiv.rng import trial_rng, uniform_tensors
 
 import oracles
-from oracles import hamilton_cayley_residual, one_hot2, one_hot4, random_ten2, random_ten4
+from oracles import hamilton_cayley_residual, maxabs, one_hot2, one_hot4, random_ten2, random_ten4
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])
@@ -41,10 +41,6 @@ E12 = one_hot2(0, 1)
 E21 = one_hot2(1, 0)
 E13 = one_hot2(0, 2)
 C1, C2, C3 = iso_tensor("I"), iso_tensor("II"), iso_tensor("III")
-
-
-def maxabs(x):
-    return float(np.max(np.abs(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,3 +552,15 @@ def test_drawn_stacks_are_read_in_place():
 
     assert peak_per_result(x, y) <= 4
     assert peak_per_result(np.ascontiguousarray(x), np.ascontiguousarray(y)) <= 6
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_matpow_keeps_a_trial_innermost_stack_trial_innermost(n):
+    # so product reads matpow's result without copying it: d_power(2, a)
+    # multiplies by matpow(a, 1), and bridge/rule/square's complex step is
+    # matpow(z, 2); the bits do not change
+    u, e = uniform_tensors(trial_rng(123, 0), 64, 2, 2)
+    for a in (u, u + 1j * (1e-30 * e)):
+        got = matpow(a, n)
+        assert got.strides[0] == got.itemsize
+        assert np.array_equal(got, matpow(np.ascontiguousarray(a), n))

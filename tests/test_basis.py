@@ -20,6 +20,7 @@ from tenderiv.rng import trial_rng
 
 from oracles import (
     from_components_oracle,
+    maxabs,
     one_hot2,
     raise_all_indices_oracle,
     random_frame,
@@ -29,10 +30,6 @@ from oracles import (
 )
 
 E1, E2, E3 = np.eye(3)
-
-
-def maxabs(x):
-    return float(np.max(np.abs(x)))
 
 
 def test_orthonormal_basis_is_self_reciprocal():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tenderiv.bridge
+import tenderiv.isotropic
 
 from tenderiv.algebra import (
     box,
@@ -26,15 +27,11 @@ from tenderiv.isotropic import iso_tensor
 from tenderiv.rng import trial_rng
 from tenderiv.suites import full_identity_suite, run_report
 
-from oracles import one_hot2, one_hot4, random_near_identity, random_ten2, random_ten4
+from oracles import maxabs, one_hot2, one_hot4, random_near_identity, random_ten2, random_ten4
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])
 C1, C2, C3 = iso_tensor("I"), iso_tensor("II"), iso_tensor("III")
-
-
-def maxabs(x):
-    return float(np.max(np.abs(x)))
 
 
 def test_layout_constants():
@@ -75,9 +72,10 @@ def test_rank2_bridge_spot_values():
 
 
 def test_rank2_bridge_fuzz():
+    # both layouts sum the same products in the same order
     for t in range(200):
         rng = trial_rng(502, t)
-        assert rank2_bridge_error(random_ten2(rng), random_ten4(rng)) <= 1e-12
+        assert rank2_bridge_error(random_ten2(rng), random_ten4(rng)) == 0.0
 
 
 def test_rank4_bridge_iso_case():
@@ -90,7 +88,7 @@ def test_rank4_bridge_iso_case():
 def test_rank4_bridge_fuzz():
     for t in range(200):
         rng = trial_rng(503, t)
-        assert rank4_bridge_error(random_ten4(rng), random_ten4(rng)) <= 1e-12
+        assert rank4_bridge_error(random_ten4(rng), random_ten4(rng)) == 0.0
 
 
 def test_seq_transposer_identities():
@@ -167,14 +165,30 @@ def test_interleave_transpose_chain():
         assert np.array_equal(np.transpose(box(a, b), (0, 1, 3, 2)), boxhat(a, b))
 
 
+def _transposing(module, op, monkeypatch):
+    # module's product, with the results of op transposed
+    real = module.product
+
+    def wrong(name, x, y, ranks=None):
+        out = real(name, x, y, ranks)
+        return transpose2(out) if name == op else out
+
+    monkeypatch.setattr(module, "product", wrong)
+
+
 def test_unit_and_transposer_row_fails_on_a_wrong_contraction(monkeypatch):
-    # a cross contraction that transposes its result breaks the unit role of C_II
-    real = tenderiv.bridge.product
-
-    def wrong(op, x, y, ranks=None):
-        out = real(op, x, y, ranks)
-        return transpose2(out) if op == "ddot_cross" else out
-
-    monkeypatch.setattr(tenderiv.bridge, "product", wrong)
+    # a positional contraction that transposes its result swaps the roles of
+    # nested C_II and nested C_III
+    _transposing(tenderiv.bridge, "ddot_pos", monkeypatch)
     report = run_report("bridge/rule/unit_and_transposer", 3, 5)
     assert not report.passed
+
+
+@pytest.mark.parametrize("kind", ["II", "III"])
+def test_cross_roles_fail_on_a_wrong_contraction(monkeypatch, kind):
+    # the cross roles of C_II and C_III, which the unit_and_transposer row
+    # leaves to the iso/role rows
+    name = f"iso/role/cross/{kind}/left"
+    assert run_report(name, 3, 5).passed
+    _transposing(tenderiv.isotropic, "ddot_cross", monkeypatch)
+    assert not run_report(name, 3, 5).passed

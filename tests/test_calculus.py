@@ -38,6 +38,7 @@ from oracles import (
     d_invariant_3_compact,
     gato_derivative,
     linearization_check,
+    maxabs,
     one_hot2,
     random_invertible,
     random_near_identity,
@@ -50,10 +51,6 @@ D = np.diag([1.0, 2.0, 3.0])
 E12 = one_hot2(0, 1)
 C2, C3 = iso_tensor("II"), iso_tensor("III")
 CAT = catalog()
-
-
-def maxabs(x):
-    return float(np.max(np.abs(x)))
 
 
 def relerr(got, want):

@@ -16,14 +16,10 @@ from tenderiv.isotropic import (
 from tenderiv.rng import trial_rng
 
 import oracles
-from oracles import one_hot2, random_orthogonal, random_ten2
+from oracles import maxabs, one_hot2, random_orthogonal, random_ten2
 
 I = ident2()
 D = np.diag([1.0, 2.0, 3.0])
-
-
-def maxabs(x):
-    return float(np.max(np.abs(x)))
 
 
 def test_iso_tensors_from_products():
