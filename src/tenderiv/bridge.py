@@ -17,19 +17,22 @@ the positional one on the nested form.  The rows at the bottom check this
 for the chain rules, the product rules and the derivatives of A, A^T, A^2
 and A^-1.  The sequential route through C_II and the cross roles of C_II and
 C_III are checked by algebra/cross-via-seq-* and iso/role/cross/*, not here.
-The A^2 and A^-1 rows also compare against the complex step Im f(A + ihE)/h,
+The catalog's A^2 and A^-1 rules also meet the complex step Im f(A + ihE)/h,
 a derivative oracle exact to rounding, held to the run's tolerance.
 """
 
 import numpy as np
 
-from .algebra import ident2, inverse2, matpow, maxabs, product, transpose2, transpose4
-from .calculus import d_inverse, d_power, product_rule_dot, product_rule_scalar_tensor
+from .algebra import ident2, inverse2, maxabs, product, transpose2, transpose4
+from .calculus import catalog, product_rule_dot, product_rule_scalar_tensor
 from .isotropic import iso_tensor
+from .reporting import trial_error
 from .rng import near_identity, uniform_tensors
 
 # operand ranks of the batched products below
 R22, R24, R42, R44 = (2, 2), (2, 4), (4, 2), (4, 4)
+# bridge/rule/square and bridge/rule/inverse check the rules of these entries
+_CATALOG = catalog()
 
 
 def to_nested_layout(d4):
@@ -50,10 +53,9 @@ def rank2_bridge_error(a, l1):
     the same order; algebra/cross-via-seq-2x4 checks the sequential route.
     a and l1 may be stacks along matching leading axes; so is the result.
     """
-    p_pos = product("ddot_pos", a, to_nested_layout(l1), R24)
-    p_cross = product("ddot_cross", a, l1, R24)
-    scale = 1.0 + maxabs(a, 2) * maxabs(l1, 4)
-    return maxabs(p_pos - p_cross, 2) / scale
+    return trial_error([(product("ddot_pos", a, to_nested_layout(l1), R24),
+                         product("ddot_cross", a, l1, R24))],
+                       2, 1.0 + maxabs(a, 2) * maxabs(l1, 4))
 
 
 def rank4_bridge_error(l1a, l1b):
@@ -66,8 +68,8 @@ def rank4_bridge_error(l1a, l1b):
     """
     p_cross = product("ddot_cross", l1a, l1b, R44)
     p_pos = product("ddot_pos", to_nested_layout(l1a), to_nested_layout(l1b), R44)
-    scale = 1.0 + maxabs(l1a, 4) * maxabs(l1b, 4)
-    return maxabs(p_pos - to_nested_layout(p_cross), 4) / scale
+    return trial_error([(p_pos, to_nested_layout(p_cross))], 4,
+                       1.0 + maxabs(l1a, 4) * maxabs(l1b, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +96,8 @@ def _row_product_dot(rng, n):
                      + product("dot", a, to_nested_layout(lb), R24))
     scale = 1.0 + (np.maximum(maxabs(a, 2), maxabs(b, 2))
                    * np.maximum(maxabs(la, 4), maxabs(lb, 4)))
-    return np.maximum(
-        maxabs(r_cross_form - r_pos_form, 4),
-        maxabs(r_nested_form - to_nested_layout(r_pos_form), 4),
-    ) / scale
+    return trial_error([(r_cross_form, r_pos_form),
+                        (r_nested_form, to_nested_layout(r_pos_form))], 4, scale)
 
 
 def _row_unit_and_transposer(rng, n):
@@ -105,10 +105,9 @@ def _row_unit_and_transposer(rng, n):
     # cross roles of C_II and C_III are iso/role/cross/{II,III}/left's
     (a,) = uniform_tensors(rng, n, 2)
     c2, c3 = iso_tensor("II"), iso_tensor("III")
-    return np.maximum(
-        maxabs(product("ddot_pos", a, to_nested_layout(c2), R24) - a, 2),
-        maxabs(product("ddot_pos", a, to_nested_layout(c3), R24) - transpose2(a), 2),
-    ) / (1.0 + maxabs(a, 2))
+    return trial_error([(product("ddot_pos", a, to_nested_layout(c2), R24), a),
+                        (product("ddot_pos", a, to_nested_layout(c3), R24), transpose2(a))],
+                       2, 1.0 + maxabs(a, 2))
 
 
 CSTEP = 1e-30  # h of _cstep_error
@@ -124,41 +123,35 @@ def _cstep_error(f, a, e, analytic):
     rounding, and so must be each convention's contraction of analytic with e.
     """
     step = f(a + 1j * (CSTEP * e)).imag / CSTEP
-    return np.maximum.reduce([
-        maxabs(product("ddot_cross", analytic, e, R42) - step, 2),
-        maxabs(product("ddot_pos", to_nested_layout(analytic), e, R42) - step, 2),
-        maxabs(product("ddot_seq", analytic, transpose2(e), R42) - step, 2),
-    ]) / (1.0 + maxabs(analytic, 4) * maxabs(e, 2))
+    return trial_error([(product("ddot_cross", analytic, e, R42), step),
+                        (product("ddot_pos", to_nested_layout(analytic), e, R42), step),
+                        (product("ddot_seq", analytic, transpose2(e), R42), step)],
+                       2, 1.0 + maxabs(analytic, 4) * maxabs(e, 2))
+
+
+def _rule_error(name, a, e, interleaved, nested, scale):
+    """The larger of entry name's rule error against its layout forms, over scale, and cstep's."""
+    fn = _CATALOG[name]
+    analytic = fn.deriv(a)
+    err = trial_error([(interleaved, analytic), (nested, to_nested_layout(analytic))], 4, scale)
+    return np.maximum(err, _cstep_error(fn.func, a, e, analytic))
 
 
 def _row_square(rng, n):
     a, e = uniform_tensors(rng, n, 2, 2)
     eye = ident2()
     c1 = iso_tensor("I")
-    analytic = d_power(2, a)
     interleaved = product("box", a, eye, R22) + product("box", eye, transpose2(a), R22)
     nested = product("dot", c1, a, R42) + product("dot", a, c1, R24)
-    scale = 1.0 + maxabs(a, 2)
-    err = np.maximum(
-        maxabs(interleaved - analytic, 4),
-        maxabs(nested - to_nested_layout(analytic), 4),
-    ) / scale
-    return np.maximum(err, _cstep_error(lambda z: matpow(z, 2), a, e, analytic))
+    return _rule_error("square", a, e, interleaved, nested, 1.0 + maxabs(a, 2))
 
 
 def _row_inverse(rng, n):
     u, e = uniform_tensors(rng, n, 2, 2)
     a = near_identity(u)
     b = inverse2(a)
-    analytic = d_inverse(a)
-    interleaved = -product("box", b, transpose2(b), R22)
-    nested = -product("outer", b, b, R22)
-    scale = 1.0 + maxabs(b, 2) ** 2
-    err = np.maximum(
-        maxabs(interleaved - analytic, 4),
-        maxabs(nested - to_nested_layout(analytic), 4),
-    ) / scale
-    return np.maximum(err, _cstep_error(inverse2, a, e, analytic))
+    return _rule_error("inverse", a, e, -product("box", b, transpose2(b), R22),
+                       -product("outer", b, b, R22), 1.0 + maxabs(b, 2) ** 2)
 
 
 def _row_scalar_times_tensor(rng, n):
@@ -169,11 +162,9 @@ def _row_scalar_times_tensor(rng, n):
     hat = product("boxhat", lam, dpsi, R22)
     nested = hat + psi[:, None, None, None, None] * to_nested_layout(dlam)
     scale = 1.0 + np.maximum(maxabs(lam, 2) * maxabs(dpsi, 2), np.abs(psi) * maxabs(dlam, 4))
-    return np.maximum.reduce([
-        maxabs(to_nested_layout(product("outer", lam, dpsi, R22)) - hat, 4),
-        maxabs(transpose4(product("box", lam, dpsi, R22), "dr") - hat, 4),
-        maxabs(nested - to_nested_layout(analytic), 4),
-    ]) / scale
+    return trial_error([(to_nested_layout(product("outer", lam, dpsi, R22)), hat),
+                        (transpose4(product("box", lam, dpsi, R22), "dr"), hat),
+                        (nested, to_nested_layout(analytic))], 4, scale)
 
 
 # name -> block evaluator; perfbench/tracer.py names its bridge.row.* spans by key.

@@ -14,8 +14,10 @@ serve as the oracle of ``deriv --fd-check``.  The step for component (k, p)
 is h = FD_STEP * max(1, |A[k,p]|); they take one argument.  The catalog
 evaluators and the analytic rules d_invariant, d_power, d_inverse,
 product_rule_dot and product_rule_scalar_tensor also take a stack of
-arguments along leading axes, one trial per item.  The evaluators keep a
-complex argument complex, for bridge's complex-step oracle.
+arguments along leading axes, one trial per item; d_power(1, .) (the ``id``
+entry) and d_transpose return their one (3, 3, 3, 3) constant for a stack,
+which broadcasts against it.  The evaluators keep a complex argument
+complex, for bridge's complex-step oracle.
 """
 
 from dataclasses import dataclass

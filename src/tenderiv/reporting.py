@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import maxabs
 from .rng import report_rng
 
 # Trials evaluated together by fuzz_report.  Each block costs a report about
@@ -23,8 +24,8 @@ class CheckReport:
     ``max_abs_err`` is the worst finite trial error and ``nonfinite`` counts
     the trials whose error was NaN or infinite; ``passed`` is true exactly
     when ``nonfinite == 0`` and ``max_abs_err <= tol``.  Errors are
-    scale-normalized by the producing check (see suites), so ``tol`` is the
-    base tolerance of the identity.
+    scale-normalized by the producing check (see trial_error), so ``tol`` is
+    the base tolerance of the identity.
     """
 
     name: str
@@ -55,6 +56,24 @@ class CheckReport:
             "pass": self.passed,
             "seed": self.seed,
         }
+
+
+def trial_error(pairs, rank, scale=None):
+    """Each trial's error: the largest |lhs - rhs| entry over the pairs, divided by scale.
+
+    A pair holds the two sides of an identity as stacks of rank-``rank``
+    tensors, one item per trial, or as single tensors; a NaN in any pair
+    makes that item's error NaN.  ``scale`` is 1 plus the size of the terms
+    compared, so the tolerance is a rounding allowance: the product of the
+    operands' max-norms, or a rule row's own (max|A^-1|^2 for the inverse,
+    max|D| max|E| for a complex step).  The layout, rotation and C_II : C_II
+    checks, of permuted entries or 0/1 constants, pass no scale.
+    """
+    (lhs, rhs), *rest = pairs
+    err = maxabs(lhs - rhs, rank)
+    for lhs, rhs in rest:
+        err = np.maximum(err, maxabs(lhs - rhs, rank))
+    return err if scale is None else err / scale
 
 
 def fuzz_report(name, seed, trials, tol, trial_errors):

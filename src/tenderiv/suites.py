@@ -3,18 +3,14 @@
 ``run_report`` runs one row of the report table ``REPORTS`` by name and
 ``full_identity_suite`` runs every row in order.
 
-A report divides each trial's worst absolute error by 1 plus the size of
-the terms it compares, so the tolerance is a rounding allowance.  The size
-is the product of the operands' max-norms, or a rule row's own (max|A^-1|^2
-for the inverse, max|D| max|E| for a complex step); the layout, rotation
-and C_II : C_II checks, of permuted entries or 0/1 constants, divide by 1.
 Each report's trials come from one Philox generator keyed by (seed, report
 name) (``reporting.fuzz_report``), whatever the execution order.
 
 The trial functions here take ``(rng, n)`` and evaluate a block of n trials
 at once: they draw the block's operands in trial-major order
-(``rng.uniform_tensors``) and evaluate each product once over the block's
-leading trial axis, returning the n trial errors.
+(``rng.uniform_tensors``), evaluate each product once over the block's
+leading trial axis, and hand the two sides of each identity and their
+normalizer to ``reporting.trial_error`` for the n trial errors.
 """
 
 import time
@@ -25,7 +21,7 @@ import numpy as np
 from .algebra import maxabs, product, transpose2
 from .bridge import CONVENTION_ROWS, R22, R44, to_nested_layout, to_trailing_layout
 from .isotropic import KINDS, SCHEMES, contraction_role, expected_role, iso_tensor, rotation_error
-from .reporting import RunSummary, fuzz_report
+from .reporting import RunSummary, fuzz_report, trial_error
 from .rng import orthogonal_tensors, uniform_tensors
 
 
@@ -35,53 +31,46 @@ from .rng import orthogonal_tensors, uniform_tensors
 
 def _err_cross_as_seq_transpose(rng, n):
     a, b = uniform_tensors(rng, n, 2, 2)
-    scale = 1.0 + maxabs(a, 2) * maxabs(b, 2)
     c = product("ddot_cross", a, b, R22)
-    return np.maximum(
-        np.abs(c - product("ddot_seq", a, transpose2(b), R22)),
-        np.abs(c - product("ddot_seq", transpose2(a), b, R22)),
-    ) / scale
+    return trial_error([(c, product("ddot_seq", a, transpose2(b), R22)),
+                        (c, product("ddot_seq", transpose2(a), b, R22))],
+                       0, 1.0 + maxabs(a, 2) * maxabs(b, 2))
 
 
 def _err_ddot_symmetry(rng, n):
     a, b = uniform_tensors(rng, n, 2, 2)
-    scale = 1.0 + maxabs(a, 2) * maxabs(b, 2)
-    diffs = []
+    pairs = []
     for op in ("ddot_seq", "ddot_cross"):
         v = product(op, a, b, R22)
-        diffs.append(np.abs(v - product(op, b, a, R22)))
-        diffs.append(np.abs(v - product(op, transpose2(a), transpose2(b), R22)))
-    return np.maximum.reduce(diffs) / scale
+        pairs.append((v, product(op, b, a, R22)))
+        pairs.append((v, product(op, transpose2(a), transpose2(b), R22)))
+    return trial_error(pairs, 0, 1.0 + maxabs(a, 2) * maxabs(b, 2))
 
 
 def _err_dot_ddot_associativity(rng, n):
     a, b, c = uniform_tensors(rng, n, 2, 2, 2)
-    scale = 1.0 + maxabs(a, 2) * maxabs(b, 2) * maxabs(c, 2)
     bc = product("dot", b, c, R22)
-    e1 = np.abs(product("ddot_seq", a, bc, R22)
-                - product("ddot_seq", product("dot", a, b, R22), c, R22))
-    e2 = np.abs(
-        product("ddot_cross", a, bc, R22)
-        - product("ddot_cross", product("dot", transpose2(a), b, R22), transpose2(c), R22)
-    )
-    return np.maximum(e1, e2) / scale
+    return trial_error([
+        (product("ddot_seq", a, bc, R22), product("ddot_seq", product("dot", a, b, R22), c, R22)),
+        (product("ddot_cross", a, bc, R22),
+         product("ddot_cross", product("dot", transpose2(a), b, R22), transpose2(c), R22)),
+    ], 0, 1.0 + maxabs(a, 2) * maxabs(b, 2) * maxabs(c, 2))
 
 
 def _err_pos_equals_cross_rank2(rng, n):
     a, b = uniform_tensors(rng, n, 2, 2)
-    scale = 1.0 + maxabs(a, 2) * maxabs(b, 2)
-    return np.abs(product("ddot_pos", a, b, R22) - product("ddot_cross", a, b, R22)) / scale
+    return trial_error([(product("ddot_pos", a, b, R22), product("ddot_cross", a, b, R22))],
+                       0, 1.0 + maxabs(a, 2) * maxabs(b, 2))
 
 
 def _err_cross_via_seq(rx, ry, rng, n):
     x, y = uniform_tensors(rng, n, rx, ry)
     c2 = iso_tensor("II")
-    out_rank = rx + ry - 4
     ref = product("ddot_cross", x, y, (rx, ry))
     via_left = product("ddot_seq", product("ddot_seq", x, c2, (rx, 4)), y, (rx, ry))
     via_right = product("ddot_seq", x, product("ddot_seq", c2, y, (4, ry)), (rx, ry))
-    scale = 1.0 + maxabs(x, rx) * maxabs(y, ry)
-    return np.maximum(maxabs(via_left - ref, out_rank), maxabs(via_right - ref, out_rank)) / scale
+    return trial_error([(via_left, ref), (via_right, ref)], rx + ry - 4,
+                       1.0 + maxabs(x, rx) * maxabs(y, ry))
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +79,8 @@ def _err_cross_via_seq(rx, ry, rng, n):
 
 def _err_role(scheme, kind, side, rng, n):
     (a,) = uniform_tensors(rng, n, 2)
-    got = contraction_role(scheme, kind, a, side)
-    return maxabs(got - expected_role(scheme, kind, a), 2) / (1.0 + maxabs(a, 2))
+    return trial_error([(contraction_role(scheme, kind, a, side), expected_role(scheme, kind, a))],
+                       2, 1.0 + maxabs(a, 2))
 
 
 def _err_rotation(kind, rng, n):
@@ -104,31 +93,23 @@ def _err_rotation(kind, rng, n):
 
 def _err_layout_roundtrip(rng, n):
     (m,) = uniform_tensors(rng, n, 4)
-    return np.maximum(
-        maxabs(to_trailing_layout(to_nested_layout(m)) - m, 4),
-        maxabs(to_nested_layout(to_trailing_layout(m)) - m, 4),
-    )
+    return trial_error([(to_trailing_layout(to_nested_layout(m)), m),
+                        (to_nested_layout(to_trailing_layout(m)), m)], 4)
 
 
 def _err_layout_constants(rng, n):
     # a fixed measurement: no operand is drawn
     c1, c2, c3 = iso_tensor("I"), iso_tensor("II"), iso_tensor("III")
-    err = max(
-        maxabs(to_nested_layout(c2) - c1),
-        maxabs(to_nested_layout(c3) - c2),
-        maxabs(to_trailing_layout(c1) - c2),
-        maxabs(to_trailing_layout(c2) - c3),
-    )
-    return np.full(n, err)
+    return np.full(n, trial_error([(to_nested_layout(c2), c1), (to_nested_layout(c3), c2),
+                                   (to_trailing_layout(c1), c2), (to_trailing_layout(c2), c3)], 4))
 
 
 def _err_seq_transposers(rng, n):
     # C_II : C_II = C_III under the sequential contraction, and C_III is its unit
     c2, c3 = iso_tensor("II"), iso_tensor("III")
-    square_err = maxabs(product("ddot_seq", c2, c2) - c3)
     (d,) = uniform_tensors(rng, n, 4)
-    return np.maximum(square_err,
-                      maxabs(product("ddot_seq", d, c3, R44) - d, 4) / (1.0 + maxabs(d, 4)))
+    return np.maximum(trial_error([(product("ddot_seq", c2, c2), c3)], 4),
+                      trial_error([(product("ddot_seq", d, c3, R44), d)], 4, 1.0 + maxabs(d, 4)))
 
 
 # Trial-count rules: a report's trial count when the run asks for t trials.

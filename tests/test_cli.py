@@ -117,6 +117,14 @@ def test_identities_output_is_pinned(tmp_path):
     assert out.read_bytes() == (DATA / "identities_seed42_trials200.json").read_bytes()
 
 
+def test_identities_multi_block_output_is_pinned(tmp_path):
+    # 1100 trials run three blocks per report (512, 512 and 76 trials), so
+    # both block boundaries fall inside the pinned run
+    out = tmp_path / "r.json"
+    assert main(["identities", "--seed", "7", "--trials", "1100", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "identities_seed7_trials1100.json").read_bytes()
+
+
 def test_identities_bytes_do_not_depend_on_python_threads():
     # suites at once, one per thread (more threads than cores, switched often),
     # each with its own ufunc buffer setting

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tenderiv.reporting import CheckReport, RunSummary, fuzz_report
+from tenderiv.reporting import CheckReport, RunSummary, fuzz_report, trial_error
 from tenderiv.serialize import (
     SerializeError,
     dumps,
@@ -177,3 +177,31 @@ def test_nonfinite_trial_error_fails_and_serializes():
     obj = json.loads(dumps(summary.to_obj()))
     assert obj["reports"][0]["nonfinite"] == 1
     assert obj["reports"][0]["pass"] is False
+
+
+def test_trial_error_keeps_a_nan_to_its_item():
+    lhs, rhs = np.zeros((3, 3, 3)), np.ones((3, 3, 3))
+    bad = lhs.copy()
+    bad[1, 2, 0] = np.nan
+    for pairs in ([(bad, rhs), (lhs, rhs)], [(lhs, rhs), (bad, rhs)]):
+        err = trial_error(pairs, 2)
+        assert np.isnan(err[1]) and err[0] == err[2] == 1.0
+
+
+def test_trial_error_is_the_worst_pair_over_scale():
+    rng = np.random.default_rng(5)
+    lhs, rhs1, rhs2 = rng.uniform(-1.0, 1.0, (3, 4, 3, 3, 3, 3))
+    scale = 1.0 + rng.uniform(size=4)
+    worst = np.array([max(np.abs(lhs[k] - rhs1[k]).max(), np.abs(lhs[k] - rhs2[k]).max())
+                      for k in range(4)])
+    assert np.array_equal(trial_error([(lhs, rhs1), (lhs, rhs2)], 4), worst)
+    assert np.array_equal(trial_error([(lhs, rhs1), (lhs, rhs2)], 4, scale), worst / scale)
+
+
+def test_trial_error_takes_scalar_results_and_single_tensors():
+    got = trial_error([(np.array([1.0, -2.0]), np.array([0.5, 1.0]))], 0, 2.0)
+    assert np.array_equal(got, [0.25, 1.5])
+    b = np.eye(3)
+    b[0, 1] = -0.5
+    err = trial_error([(np.eye(3), b)], 2)
+    assert np.ndim(err) == 0 and err == 0.5

@@ -20,6 +20,10 @@ test_basis.py holds the two to the same bits.  That test would compare
 inverse_det with itself if basis.py called it, so basis.py may not name
 inverse_det or inverse2, nor star-import.
 
+A report row states the two sides of each identity it checks and hands them
+to reporting.trial_error, the one place a trial's error is defined; suites,
+bridge and isotropic may not take maxabs or abs of a subtraction themselves.
+
 A deletion should take its leftovers with it: no module but __init__.py
 (which re-exports) may import a name it never uses or define a module-level
 private name that it never reads.
@@ -159,3 +163,34 @@ print(_helper, __doc__)
         "2: import math", "3: import os", "4: import DIM", "4: import _maxabs",
         "5: private _TABLE", "6: private _A", "9: private _Unused",
     ]
+
+
+def _own_error_rules(tree):
+    """Lines that measure |lhs - rhs| themselves: maxabs, abs or np.abs of a subtraction."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.BinOp) \
+                and isinstance(node.args[0].op, ast.Sub):
+            f = node.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) in (
+                    "maxabs", "abs", "absolute"):
+                yield node.lineno
+
+
+def test_report_rows_measure_their_errors_through_trial_error():
+    found = []
+    for name in ("suites.py", "bridge.py", "isotropic.py"):
+        path = Path(tenderiv.__file__).with_name(name)
+        found += [f"{name}:{line}" for line in _own_error_rules(ast.parse(path.read_text()))]
+    assert not found, "\n".join(found)
+
+
+def test_the_error_rule_walk_finds_each_kind():
+    source = """
+maxabs(a - b, 2)
+np.abs(a - b) / scale
+abs(x - y)
+np.absolute(a - b)
+maxabs(a, 2) - maxabs(b, 2)
+trial_error([(a, b)], 2)
+"""
+    assert sorted(_own_error_rules(ast.parse(source))) == [2, 3, 4, 5]
