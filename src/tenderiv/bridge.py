@@ -26,7 +26,6 @@ import numpy as np
 from .algebra import ident2, inverse2, maxabs, product, transpose2, transpose4
 from .calculus import catalog, product_rule_dot, product_rule_scalar_tensor
 from .isotropic import iso_tensor
-from .reporting import trial_error
 from .rng import near_identity, uniform_tensors
 
 # operand ranks of the batched products below
@@ -45,45 +44,30 @@ def to_trailing_layout(d4):
     return transpose4(transpose4(d4, "dr"), "ti")
 
 
-def rank2_bridge_error(a, l1):
-    """Normalized disagreement of the two layouts' contractions of a with a derivative.
-
-    With l1 in trailing layout, the positional contraction of a with the
-    nested form and the cross contraction with l1 sum the same products in
-    the same order; algebra/cross-via-seq-2x4 checks the sequential route.
-    a and l1 may be stacks along matching leading axes; so is the result.
-    """
-    return trial_error([(product("ddot_pos", a, to_nested_layout(l1), R24),
-                         product("ddot_cross", a, l1, R24))],
-                       2, 1.0 + maxabs(a, 2) * maxabs(l1, 4))
-
-
-def rank4_bridge_error(l1a, l1b):
-    """Normalized disagreement for the contraction of two derivatives.
-
-    The positional contraction of the two nested forms equals the nested form
-    of the cross contraction of the trailing forms exactly;
-    algebra/cross-via-seq-4x4 checks the sequential route.  The operands may
-    be stacks along matching leading axes; so is the result.
-    """
-    p_cross = product("ddot_cross", l1a, l1b, R44)
-    p_pos = product("ddot_pos", to_nested_layout(l1a), to_nested_layout(l1b), R44)
-    return trial_error([(p_pos, to_nested_layout(p_cross))], 4,
-                       1.0 + maxabs(l1a, 4) * maxabs(l1b, 4))
-
-
 # ---------------------------------------------------------------------------
 # Cross-convention rows
 # ---------------------------------------------------------------------------
-# Each row evaluates a block of n trials: it draws the block's operands in
-# trial-major order and returns the n normalized errors.
+# Each row takes a block of n trials: it draws the block's operands in
+# trial-major order and returns their legs, (pairs, rank, scale), for the
+# report loop to measure.
 
 def _row_chain_scalar(rng, n):
-    return rank2_bridge_error(*uniform_tensors(rng, n, 2, 4))
+    # with l1 in trailing layout, the positional contraction of a with the
+    # nested form and the cross contraction with l1 sum the same products in
+    # the same order; algebra/cross-via-seq-2x4 checks the sequential route
+    a, l1 = uniform_tensors(rng, n, 2, 4)
+    return [([(product("ddot_pos", a, to_nested_layout(l1), R24),
+               product("ddot_cross", a, l1, R24))], 2, 1.0 + maxabs(a, 2) * maxabs(l1, 4))]
 
 
 def _row_chain_tensor(rng, n):
-    return rank4_bridge_error(*uniform_tensors(rng, n, 4, 4))
+    # the positional contraction of two nested forms is the nested form of the
+    # cross contraction of the trailing forms, exactly;
+    # algebra/cross-via-seq-4x4 checks the sequential route
+    l1a, l1b = uniform_tensors(rng, n, 4, 4)
+    p_pos = product("ddot_pos", to_nested_layout(l1a), to_nested_layout(l1b), R44)
+    p_cross = product("ddot_cross", l1a, l1b, R44)
+    return [([(p_pos, to_nested_layout(p_cross))], 4, 1.0 + maxabs(l1a, 4) * maxabs(l1b, 4))]
 
 
 def _row_product_dot(rng, n):
@@ -96,8 +80,8 @@ def _row_product_dot(rng, n):
                      + product("dot", a, to_nested_layout(lb), R24))
     scale = 1.0 + (np.maximum(maxabs(a, 2), maxabs(b, 2))
                    * np.maximum(maxabs(la, 4), maxabs(lb, 4)))
-    return trial_error([(r_cross_form, r_pos_form),
-                        (r_nested_form, to_nested_layout(r_pos_form))], 4, scale)
+    return [([(r_cross_form, r_pos_form), (r_nested_form, to_nested_layout(r_pos_form))],
+             4, scale)]
 
 
 def _row_unit_and_transposer(rng, n):
@@ -105,36 +89,36 @@ def _row_unit_and_transposer(rng, n):
     # cross roles of C_II and C_III are iso/role/cross/{II,III}/left's
     (a,) = uniform_tensors(rng, n, 2)
     c2, c3 = iso_tensor("II"), iso_tensor("III")
-    return trial_error([(product("ddot_pos", a, to_nested_layout(c2), R24), a),
-                        (product("ddot_pos", a, to_nested_layout(c3), R24), transpose2(a))],
-                       2, 1.0 + maxabs(a, 2))
+    return [([(product("ddot_pos", a, to_nested_layout(c2), R24), a),
+              (product("ddot_pos", a, to_nested_layout(c3), R24), transpose2(a))],
+             2, 1.0 + maxabs(a, 2))]
 
 
-CSTEP = 1e-30  # h of _cstep_error
+CSTEP = 1e-30  # h of _cstep_leg
 
 
-def _cstep_error(f, a, e, analytic):
-    """Normalized distance of the complex step of f at a along e from the analytic rule.
+def _cstep_leg(f, a, e, analytic):
+    """The leg comparing the complex step of f at a along e with the analytic rule.
 
-    One error per item of the stacks a (arguments) and e (directions);
+    One item per item of the stacks a (arguments) and e (directions);
     analytic holds the trailing derivatives of f at a.  Im f(a + ihe)/h
     subtracts nothing (Squire and Trapp, SIAM Rev. 1998), so h = CSTEP can
     be tiny and its O(h^2) truncation vanish: it is the derivative along e to
     rounding, and so must be each convention's contraction of analytic with e.
     """
     step = f(a + 1j * (CSTEP * e)).imag / CSTEP
-    return trial_error([(product("ddot_cross", analytic, e, R42), step),
-                        (product("ddot_pos", to_nested_layout(analytic), e, R42), step),
-                        (product("ddot_seq", analytic, transpose2(e), R42), step)],
-                       2, 1.0 + maxabs(analytic, 4) * maxabs(e, 2))
+    return ([(product("ddot_cross", analytic, e, R42), step),
+             (product("ddot_pos", to_nested_layout(analytic), e, R42), step),
+             (product("ddot_seq", analytic, transpose2(e), R42), step)],
+            2, 1.0 + maxabs(analytic, 4) * maxabs(e, 2))
 
 
-def _rule_error(name, a, e, interleaved, nested, scale):
-    """The larger of entry name's rule error against its layout forms, over scale, and cstep's."""
+def _rule_legs(name, a, e, interleaved, nested, scale):
+    """Entry name's rule against its interleaved and nested forms over scale, and its cstep leg."""
     fn = _CATALOG[name]
     analytic = fn.deriv(a)
-    err = trial_error([(interleaved, analytic), (nested, to_nested_layout(analytic))], 4, scale)
-    return np.maximum(err, _cstep_error(fn.func, a, e, analytic))
+    return [([(interleaved, analytic), (nested, to_nested_layout(analytic))], 4, scale),
+            _cstep_leg(fn.func, a, e, analytic)]
 
 
 def _row_square(rng, n):
@@ -143,15 +127,15 @@ def _row_square(rng, n):
     c1 = iso_tensor("I")
     interleaved = product("box", a, eye, R22) + product("box", eye, transpose2(a), R22)
     nested = product("dot", c1, a, R42) + product("dot", a, c1, R24)
-    return _rule_error("square", a, e, interleaved, nested, 1.0 + maxabs(a, 2))
+    return _rule_legs("square", a, e, interleaved, nested, 1.0 + maxabs(a, 2))
 
 
 def _row_inverse(rng, n):
     u, e = uniform_tensors(rng, n, 2, 2)
     a = near_identity(u)
     b = inverse2(a)
-    return _rule_error("inverse", a, e, -product("box", b, transpose2(b), R22),
-                       -product("outer", b, b, R22), 1.0 + maxabs(b, 2) ** 2)
+    return _rule_legs("inverse", a, e, -product("box", b, transpose2(b), R22),
+                      -product("outer", b, b, R22), 1.0 + maxabs(b, 2) ** 2)
 
 
 def _row_scalar_times_tensor(rng, n):
@@ -162,9 +146,9 @@ def _row_scalar_times_tensor(rng, n):
     hat = product("boxhat", lam, dpsi, R22)
     nested = hat + psi[:, None, None, None, None] * to_nested_layout(dlam)
     scale = 1.0 + np.maximum(maxabs(lam, 2) * maxabs(dpsi, 2), np.abs(psi) * maxabs(dlam, 4))
-    return trial_error([(to_nested_layout(product("outer", lam, dpsi, R22)), hat),
-                        (transpose4(product("box", lam, dpsi, R22), "dr"), hat),
-                        (nested, to_nested_layout(analytic))], 4, scale)
+    return [([(to_nested_layout(product("outer", lam, dpsi, R22)), hat),
+              (transpose4(product("box", lam, dpsi, R22), "dr"), hat),
+              (nested, to_nested_layout(analytic))], 4, scale)]
 
 
 # name -> block evaluator; perfbench/tracer.py names its bridge.row.* spans by key.

@@ -23,7 +23,6 @@ axes and answers item by item.
 import numpy as np
 
 from .algebra import box, boxhat, ident2, outer, product, trace, transpose2
-from .reporting import trial_error
 
 KINDS = ("I", "II", "III")
 SCHEMES = ("seq", "cross", "pos")
@@ -92,16 +91,3 @@ def rotate4(c, q):
         c = product(f"pos_dot{n}", c, transpose2(q), (4, 2))
     return c
 
-
-def rotation_error(kind, q):
-    """Worst change of an isotropic tensor, and of q I q^T against I, under q.
-
-    q must be orthogonal to 1e-10; for a stack, every item must be.
-    """
-    q = np.asarray(q, dtype=float)
-    ortho_defect = trial_error([(product("dot", transpose2(q), q, (2, 2)), _EYE)], 2)
-    if not np.all(ortho_defect <= 1e-10):
-        raise ValueError(f"q is not orthogonal (defect {np.max(ortho_defect):.3e})")
-    c = iso_tensor(kind)
-    q_eye_qt = product("dot", q, transpose2(q), (2, 2))  # q . I is q exactly
-    return np.maximum(trial_error([(rotate4(c, q), c)], 4), trial_error([(q_eye_qt, _EYE)], 2))

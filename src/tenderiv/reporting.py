@@ -23,9 +23,9 @@ class CheckReport:
 
     ``max_abs_err`` is the worst finite trial error and ``nonfinite`` counts
     the trials whose error was NaN or infinite; ``passed`` is true exactly
-    when ``nonfinite == 0`` and ``max_abs_err <= tol``.  Errors are
-    scale-normalized by the producing check (see trial_error), so ``tol`` is
-    the base tolerance of the identity.
+    when ``nonfinite == 0`` and ``max_abs_err <= tol``.  A check's rows
+    return their legs and trial_error measures them, each side's difference
+    over its leg's scale, so ``tol`` is the base tolerance of the identity.
     """
 
     name: str
@@ -58,29 +58,35 @@ class CheckReport:
         }
 
 
-def trial_error(pairs, rank, scale=None):
-    """Each trial's error: the largest |lhs - rhs| entry over the pairs, divided by scale.
+def trial_error(legs):
+    """Each trial's error over a row's legs: the largest |lhs - rhs| entry, over its leg's scale.
 
-    A pair holds the two sides of an identity as stacks of rank-``rank``
-    tensors, one item per trial, or as single tensors; a NaN in any pair
-    makes that item's error NaN.  ``scale`` is 1 plus the size of the terms
-    compared, so the tolerance is a rounding allowance: the product of the
-    operands' max-norms, or a rule row's own (max|A^-1|^2 for the inverse,
-    max|D| max|E| for a complex step).  The layout, rotation and C_II : C_II
-    checks, of permuted entries or 0/1 constants, pass no scale.
+    A leg ``(pairs, rank, scale)`` holds pairs of the two sides of an
+    identity as stacks of rank-``rank`` tensors, one item per trial, or as
+    single tensors; a NaN in any pair makes that item's error NaN.  Each
+    pair's largest entry is divided by its leg's ``scale`` and the result is
+    their elementwise maximum.  Division rounds monotonically, so this has
+    the bits of dividing each leg's maximum.  ``scale`` is 1 plus the size of
+    the terms compared, so the tolerance is a rounding allowance: the product
+    of the operands' max-norms, or a rule row's own (max|A^-1|^2 for the
+    inverse, max|D| max|E| for a complex step).  The layout, rotation and
+    C_II : C_II legs, of permuted entries or 0/1 constants, have scale None.
     """
-    (lhs, rhs), *rest = pairs
-    err = maxabs(lhs - rhs, rank)
-    for lhs, rhs in rest:
-        err = np.maximum(err, maxabs(lhs - rhs, rank))
-    return err if scale is None else err / scale
+    err = None
+    for pairs, rank, scale in legs:
+        for lhs, rhs in pairs:
+            e = maxabs(lhs - rhs, rank)
+            e = e if scale is None else e / scale
+            err = e if err is None else np.maximum(err, e)
+    return err
 
 
-def fuzz_report(name, seed, trials, tol, trial_errors):
+def fuzz_report(name, seed, trials, tol, trial_legs):
     """Evaluate ``trials`` trials of a check in blocks on the report's own generator.
 
-    ``trial_errors(rng, n)`` draws the operands of the next n trials from rng,
-    in trial-major order, and returns their n errors.  Blocks hold BLOCK
+    ``trial_legs(rng, n)`` draws the operands of the next n trials from rng,
+    in trial-major order, and returns the legs of those n trials (see
+    trial_error); a leg of single tensors holds for all n.  Blocks hold BLOCK
     trials, the last one the remainder, so a trial's operands and error do not
     depend on where the block boundaries fall.
 
@@ -90,7 +96,8 @@ def fuzz_report(name, seed, trials, tol, trial_errors):
     if trials < 1:
         raise ValueError(f"{name}: trials must be at least 1, got {trials}")
     rng = report_rng(seed, name)
-    errors = [trial_errors(rng, min(BLOCK, trials - done)) for done in range(0, trials, BLOCK)]
+    sizes = [min(BLOCK, trials - done) for done in range(0, trials, BLOCK)]
+    errors = [np.broadcast_to(trial_error(trial_legs(rng, n)), n) for n in sizes]
     return CheckReport.from_measurement(name, trials, np.concatenate(errors), tol, seed)
 
 

@@ -38,9 +38,9 @@ MUTANTS = [
     ("algebra.py", '("pos_dot3", (4, 2)): "ijkl,km->ijml"',
      '("pos_dot3", (4, 2)): "ijkl,km->ijlm"', "killed"),
     ("algebra.py", '("pos_ddot_left2", (4, 4)): "ijkl,abkj->iabl"',
-     '("pos_ddot_left2", (4, 4)): "ijkl,abjk->iabl"', "survives: ROADMAP item 1"),
+     '("pos_ddot_left2", (4, 4)): "ijkl,abjk->iabl"', "survives: ROADMAP item 2"),
     ("algebra.py", '("pos_ddot_right3", (4, 4)): "ijkl,kjab->iabl"',
-     '("pos_ddot_right3", (4, 4)): "ijkl,jkab->iabl"', "survives: ROADMAP item 1"),
+     '("pos_ddot_right3", (4, 4)): "ijkl,jkab->iabl"', "survives: ROADMAP item 2"),
     # swapped letters in the double contractions
     ("algebra.py", '("ddot_seq", (4, 4)): "ijmn,nmkl->ijkl"',
      '("ddot_seq", (4, 4)): "ijmn,mnkl->ijkl"', "killed"),
@@ -76,9 +76,9 @@ MUTANTS = [
      "killed"),
     # isotropic constants off by rounding
     ("isotropic.py", '"II": _read_only(box(_EYE, _EYE)),',
-     '"II": _read_only(box(_EYE, _EYE) * (1 + 1e-14)),', "survives: ROADMAP item 2"),
+     '"II": _read_only(box(_EYE, _EYE) * (1 + 1e-14)),', "survives: ROADMAP item 1"),
     ("isotropic.py", '"I": _read_only(outer(_EYE, _EYE)),',
-     '"I": _read_only(outer(_EYE, _EYE) * (1 + 2.0**-52)),', "survives: ROADMAP item 2"),
+     '"I": _read_only(outer(_EYE, _EYE) * (1 + 2.0**-52)),', "survives: ROADMAP item 1"),
 ]
 
 

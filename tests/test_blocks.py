@@ -37,10 +37,10 @@ from tenderiv.algebra import (
     product,
     transpose4,
 )
-from tenderiv.bridge import CSTEP, _cstep_error, to_nested_layout
+from tenderiv.bridge import CSTEP, _cstep_leg, to_nested_layout
 from tenderiv.calculus import d_inverse, d_power
 from tenderiv.isotropic import iso_tensor, rotate4
-from tenderiv.reporting import BLOCK, fuzz_report
+from tenderiv.reporting import BLOCK, fuzz_report, trial_error
 from tenderiv.rng import near_identity, report_rng, trial_rng, uniform_tensors
 from tenderiv.serialize import dumps
 from tenderiv.suites import REPORTS, full_identity_suite, run_report
@@ -79,15 +79,15 @@ def trial_functions():
     return {name: row[0] for name, row in REPORTS.items()}
 
 
-def block_errors(name, trial_errors, trials):
+def block_errors(name, trial_legs, trials):
     """Per-trial errors and block sizes of one report run through fuzz_report."""
     errors, sizes = [], []
 
     def record(rng, n):
-        e = trial_errors(rng, n)
-        errors.append(e)
+        legs = trial_legs(rng, n)
+        errors.append(np.broadcast_to(trial_error(legs), n))
         sizes.append(n)
-        return e
+        return legs
 
     fuzz_report(name, SEED, trials, TOL, record)
     return np.concatenate(errors), sizes
@@ -300,11 +300,11 @@ def test_complex_step_error_is_at_rounding_level(name):
     for _ in range(10):  # 10,000 near-identity arguments in ten stacks
         u, e = uniform_tensors(rng, 1000, 2, 2)
         a = near_identity(u)
-        errors = _cstep_error(f, a, e, rule(a))
+        errors = trial_error([_cstep_leg(f, a, e, rule(a))])
         assert errors.shape == (1000,) and np.all(np.isfinite(errors))
         worst = max(worst, float(errors.max()))
         # the oracle tells a slot-swapped derivative from the rule
-        wrong = _cstep_error(f, a, e, transpose4(rule(a), "ti"))
+        wrong = trial_error([_cstep_leg(f, a, e, transpose4(rule(a), "ti"))])
         assert wrong.min() > 1e-6
     assert 0.0 < worst <= 1e-14
 
@@ -527,14 +527,14 @@ def test_nonfinite_item_stays_in_its_item_and_fails_its_report(key):
     out_rank = np.ndim(clean) - 1
     done = [0]
 
-    def trial_errors(rng, size):
+    def trial_legs(rng, size):
         block = slice(done[0], done[0] + size)
         done[0] += size
-        return maxabs(product(op, x[block], y[block], ranks) - clean[block], out_rank)
+        return [([(product(op, x[block], y[block], ranks), clean[block])], out_rank, None)]
 
     with np.errstate(invalid="ignore"):
         got = product(op, x, y, ranks)
-        report = fuzz_report(f"kernel/{op}", SEED, n, TOL, trial_errors)
+        report = fuzz_report(f"kernel/{op}", SEED, n, TOL, trial_legs)
     finite = np.isfinite(got).reshape(n, -1).all(axis=1)
     assert not finite[poisoned]
     assert finite.sum() == n - 1

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tenderiv.reporting import CheckReport, RunSummary, fuzz_report, trial_error
+from tenderiv.reporting import BLOCK, CheckReport, RunSummary, fuzz_report, trial_error
 from tenderiv.serialize import (
     SerializeError,
     dumps,
@@ -166,9 +166,13 @@ def test_load_json_missing_file(tmp_path):
         load_json(bad)
 
 
+def leg(lhs, rhs, rank=0, scale=None):
+    return [(lhs, rhs)], rank, scale
+
+
 def test_nonfinite_trial_error_fails_and_serializes():
     errors = np.array([0.0, float("nan"), 1e-20])
-    report = fuzz_report("x", 3, 3, 1e-12, lambda rng, n: errors[:n])
+    report = fuzz_report("x", 3, 3, 1e-12, lambda rng, n: [leg(errors[:n], np.zeros(n))])
     assert not report.passed
     assert report.nonfinite == 1
     assert report.max_abs_err == 1e-20
@@ -184,7 +188,7 @@ def test_trial_error_keeps_a_nan_to_its_item():
     bad = lhs.copy()
     bad[1, 2, 0] = np.nan
     for pairs in ([(bad, rhs), (lhs, rhs)], [(lhs, rhs), (bad, rhs)]):
-        err = trial_error(pairs, 2)
+        err = trial_error([(pairs, 2, None)])
         assert np.isnan(err[1]) and err[0] == err[2] == 1.0
 
 
@@ -194,14 +198,74 @@ def test_trial_error_is_the_worst_pair_over_scale():
     scale = 1.0 + rng.uniform(size=4)
     worst = np.array([max(np.abs(lhs[k] - rhs1[k]).max(), np.abs(lhs[k] - rhs2[k]).max())
                       for k in range(4)])
-    assert np.array_equal(trial_error([(lhs, rhs1), (lhs, rhs2)], 4), worst)
-    assert np.array_equal(trial_error([(lhs, rhs1), (lhs, rhs2)], 4, scale), worst / scale)
+    pairs = [(lhs, rhs1), (lhs, rhs2)]
+    assert np.array_equal(trial_error([(pairs, 4, None)]), worst)
+    assert np.array_equal(trial_error([(pairs, 4, scale)]), worst / scale)
 
 
 def test_trial_error_takes_scalar_results_and_single_tensors():
-    got = trial_error([(np.array([1.0, -2.0]), np.array([0.5, 1.0]))], 0, 2.0)
+    got = trial_error([leg(np.array([1.0, -2.0]), np.array([0.5, 1.0]), 0, 2.0)])
     assert np.array_equal(got, [0.25, 1.5])
     b = np.eye(3)
     b[0, 1] = -0.5
-    err = trial_error([(np.eye(3), b)], 2)
+    err = trial_error([leg(np.eye(3), b, 2)])
     assert np.ndim(err) == 0 and err == 0.5
+
+
+def test_a_0d_leg_broadcasts_to_every_trial_of_its_block():
+    b = np.eye(3)
+    b[2, 1] = 0.25
+    report = fuzz_report("x", 3, 5, 1e-12, lambda rng, n: [leg(np.eye(3), b, 2)])
+    assert report.max_abs_err == 0.25 and report.nonfinite == 0 and not report.passed
+    # one NaN measurement counts once for each trial, over two blocks
+    report = fuzz_report("x", 3, BLOCK + 3, 1e-12, lambda rng, n: [leg(np.nan, 0.0)])
+    assert report.nonfinite == BLOCK + 3 and report.max_abs_err == 0.0
+    with pytest.raises(ValueError):  # a stack of the wrong length does not broadcast
+        fuzz_report("x", 3, 5, 1e-12, lambda rng, n: [leg(np.zeros(n + 1), np.zeros(n + 1))])
+
+
+def test_legs_of_different_rank_and_scale_give_the_elementwise_maximum():
+    rng = np.random.default_rng(6)
+    n = 6
+    a, b = rng.uniform(-1.0, 1.0, (2, n, 3, 3, 3, 3))
+    x, y = rng.uniform(-1.0, 1.0, (2, n))
+    m, p = rng.uniform(-1.0, 1.0, (2, n, 3, 3))
+    w = 1.0 + 99.0 * np.eye(3)[np.arange(n) % 3]  # leg t % 3 is the worst on trial t
+    scale = 1.0 + rng.uniform(size=n)
+    wa, wx, wm = (w[:, i].reshape((n,) + (1,) * r) for i, r in enumerate((4, 0, 2)))
+    legs = [leg(wa * a, b, 4, scale), leg(wx * x, y), leg(wm * m, p, 2, 3.0)]
+    parts = np.array([trial_error([one]) for one in legs])
+    assert np.array_equal(np.argmax(parts, axis=0), np.arange(n) % 3)
+    want = np.array([max(np.abs(wa[k] * a[k] - b[k]).max() / scale[k], abs(wx[k] * x[k] - y[k]),
+                         np.abs(wm[k] * m[k] - p[k]).max() / 3.0) for k in range(n)])
+    assert np.array_equal(trial_error(legs), want)
+
+
+def test_a_nan_in_the_second_leg_stays_in_its_trial():
+    n, poisoned = 4, 2
+    x = np.zeros((n, 3, 3))
+    x[poisoned, 1, 1] = np.nan
+    legs = [leg(np.full(n, 1e-13), np.zeros(n)), leg(x, np.zeros((n, 3, 3)), 2, 2.0)]
+    err = trial_error(legs)
+    assert np.isnan(err[poisoned])
+    assert np.array_equal(np.delete(err, poisoned), np.full(n - 1, 1e-13))
+    with np.errstate(invalid="ignore"):
+        report = fuzz_report("x", 3, n, 1e-12, lambda rng, size: legs)
+    assert report.nonfinite == 1 and not report.passed and report.max_abs_err == 1e-13
+
+
+def test_dividing_each_pair_gives_the_bits_of_dividing_the_maximum():
+    # division by a positive scale rounds monotonically, so the order of the
+    # maximum and the division changes no bit, at inf and NaN scales too
+    rng = np.random.default_rng(7)
+    n = 4096
+    magnitude = 10.0 ** rng.integers(-300, 300, n)[:, None, None]
+    lhs, rhs1, rhs2 = rng.uniform(-1.0, 1.0, (3, n, 3, 3)) * magnitude
+    scale = 1.0 + rng.uniform(0.0, 1e3, n) ** rng.uniform(0.0, 4.0, n)
+    scale[:16] = np.inf
+    scale[16:32] = np.nan
+    rng.shuffle(scale)
+    got = trial_error([([(lhs, rhs1), (lhs, rhs2)], 2, scale)])
+    worst = np.maximum(np.abs(lhs - rhs1).max(axis=(1, 2)), np.abs(lhs - rhs2).max(axis=(1, 2)))
+    assert np.array_equal(got, worst / scale, equal_nan=True)
+    assert np.isnan(got).sum() == 16 and np.sum(got == 0.0) >= 16

@@ -20,9 +20,11 @@ test_basis.py holds the two to the same bits.  That test would compare
 inverse_det with itself if basis.py called it, so basis.py may not name
 inverse_det or inverse2, nor star-import.
 
-A report row states the two sides of each identity it checks and hands them
-to reporting.trial_error, the one place a trial's error is defined; suites,
-bridge and isotropic may not take maxabs or abs of a subtraction themselves.
+A report row returns its legs, the two sides of each identity it checks with
+their rank and normalizer, and reporting.trial_error, the one place a trial's
+error is defined, measures them: no other module may name trial_error,
+bridge and isotropic import nothing from reporting, and suites, bridge and
+isotropic may not take maxabs or abs of a subtraction themselves.
 
 A deletion should take its leftovers with it: no module but __init__.py
 (which re-exports) may import a name it never uses or define a module-level
@@ -191,6 +193,53 @@ np.abs(a - b) / scale
 abs(x - y)
 np.absolute(a - b)
 maxabs(a, 2) - maxabs(b, 2)
-trial_error([(a, b)], 2)
+trial_error([([(a, b)], 2, None)])
 """
     assert sorted(_own_error_rules(ast.parse(source))) == [2, 3, 4, 5]
+
+
+def _error_rule_uses(tree):
+    """Lines that name trial_error, and lines that import from the reporting module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "trial_error" \
+                or isinstance(node, ast.Attribute) and node.attr == "trial_error" \
+                or isinstance(node, ast.FunctionDef) and node.name == "trial_error":
+            yield node.lineno, "trial_error"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if "trial_error" in names:
+                yield node.lineno, "trial_error"
+            modules = [getattr(node, "module", None) or ""] + names
+            if any(n.split(".")[-1] == "reporting" for n in modules):
+                yield node.lineno, "reporting"
+
+
+def test_only_reporting_measures_trial_errors():
+    found = []
+    for path in sorted(Path(tenderiv.__file__).parent.glob("*.py")):
+        for line, what in _error_rule_uses(ast.parse(path.read_text())):
+            if what == "trial_error" and path.name != "reporting.py" \
+                    or what == "reporting" and path.name in ("bridge.py", "isotropic.py"):
+                found.append(f"{path.name}:{line}: {what}")
+    assert not found, "\n".join(found)
+
+
+def test_the_trial_error_walk_finds_each_kind():
+    source = """
+trial_error(legs)
+reporting.trial_error(legs)
+from .reporting import trial_error
+from .reporting import fuzz_report
+from tenderiv.reporting import BLOCK
+from . import reporting
+import tenderiv.reporting
+def trial_error(legs):
+    pass
+err = maxabs(a - b, 2)
+from .algebra import maxabs
+"""
+    assert sorted(_error_rule_uses(ast.parse(source))) == [
+        (2, "trial_error"), (3, "trial_error"), (4, "reporting"), (4, "trial_error"),
+        (5, "reporting"), (6, "reporting"), (7, "reporting"), (8, "reporting"),
+        (9, "trial_error"),
+    ]
