@@ -26,8 +26,6 @@ from .algebra import (
     invariants,
     matpow,
     outer,
-    pos_ddot_left,
-    pos_ddot_right,
     pos_dot,
     trace,
     transpose2,

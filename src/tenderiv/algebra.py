@@ -7,10 +7,11 @@ worked example lives at ``[0, 0]``).
 
 The products ``dot``, ``ddot_seq``, ``ddot_cross``, ``ddot_pos``, ``outer``,
 ``box`` and ``boxhat`` (one row of ``SUBSCRIPTS`` per rank pair) and the
-positional products (one row per slot) are all evaluated by ``product``, on
-single tensors or stacks (leading batch axes, one trial per item), each as
-elementwise products summed in a fixed order.  The three double contractions
-differ only in how they pair the inner basis vectors of their operands:
+positional product ``pos_dot`` (one row per slot) are all evaluated by
+``product``, on single tensors or stacks (leading batch axes, one trial per
+item), each as elementwise products summed in a fixed order.  The three
+double contractions differ only in how they pair the inner basis vectors of
+their operands:
 
 * ``ddot_seq``: nested pairing, nearest basis vectors first;
 * ``ddot_cross``: parallel pairing of the basis vectors;
@@ -72,17 +73,11 @@ SUBSCRIPTS = {
     ("outer", (2, 2)): "ij,kl->ijkl",
     ("box", (2, 2)): "ik,jl->ijkl",
     ("boxhat", (2, 2)): "il,jk->ijkl",
-    # positional products, one row per slot (see pos_dot, pos_ddot_left/right)
+    # the positional product, one row per slot (see pos_dot)
     ("pos_dot1", (4, 2)): "ijkl,im->mjkl",
     ("pos_dot2", (4, 2)): "ijkl,jm->imkl",
     ("pos_dot3", (4, 2)): "ijkl,km->ijml",
     ("pos_dot4", (4, 2)): "ijkl,lm->ijkm",
-    ("pos_ddot_left1", (4, 4)): "ijkl,abji->abkl",
-    ("pos_ddot_left2", (4, 4)): "ijkl,abkj->iabl",
-    ("pos_ddot_left3", (4, 4)): "ijkl,ablk->ijab",
-    ("pos_ddot_right2", (4, 4)): "ijkl,jiab->abkl",
-    ("pos_ddot_right3", (4, 4)): "ijkl,kjab->iabl",
-    ("pos_ddot_right4", (4, 4)): "ijkl,lkab->ijab",
 }
 
 
@@ -269,17 +264,6 @@ def transpose4(m, kind):
     return np.asarray(m).swapaxes(*slots)
 
 
-_OPS = {op for op, _ in SUBSCRIPTS}
-
-
-def _slot_op(op, n):
-    """The SUBSCRIPTS operation of the positional product ``op`` at slot n."""
-    if op + str(n) not in _OPS:
-        slots = sorted(key[len(op):] for key in _OPS if key[:-1] == op)
-        raise ValueError(f"{op}: slot must be one of {', '.join(slots)}, got {n!r}")
-    return op + str(n)
-
-
 def pos_dot(h, d, n):
     """Simple positional scalar product: contract slot n of h with d.
 
@@ -287,27 +271,10 @@ def pos_dot(h, d, n):
     slot n of the result.  For n = 2: out[i,m,k,l] = sum_j h[i,j,k,l] d[j,m].
     Leading batch axes of h and d broadcast.
     """
-    return product(_slot_op("pos_dot", n), h, d, (4, 2))
-
-
-def pos_ddot_left(c, m, n):
-    """Positional double contraction of c onto the (n, n+1) slot dyad of m.
-
-    The dyad in slots (n, n+1) of m is replaced by its image under the
-    sequential double contraction with c.  For n = 2:
-    out[i,a,b,l] = sum_jk m[i,j,k,l] c[a,b,k,j].
-    """
-    return product(_slot_op("pos_ddot_left", n), m, c, (4, 4))
-
-
-def pos_ddot_right(m, c, n):
-    """Positional double product of the (n-1, n) slot dyad of m with c.
-
-    The dyad in slots (n-1, n) of m is pushed through c by the sequential
-    double contraction.  For n = 3:
-    out[i,c,d,l] = sum_jk m[i,j,k,l] c[k,j,c,d].
-    """
-    return product(_slot_op("pos_ddot_right", n), m, c, (4, 4))
+    op = f"pos_dot{n}"
+    if (op, (4, 2)) not in _PLANS:
+        raise ValueError(f"pos_dot: slot must be one of 1, 2, 3, 4, got {n!r}")
+    return product(op, h, d, (4, 2))
 
 
 def _floating(a):

@@ -76,12 +76,15 @@ def contraction_role(scheme, kind, a, side="left"):
 
 
 def expected_role(scheme, kind, a):
-    """Closed form of contraction_role: a, a^T or tr(a) I."""
+    """Closed form of contraction_role: a, a^T or tr(a) I.
+
+    The unit and transposer roles may return a view of a.
+    """
     role = ROLES[scheme][kind]
     if role == "unit":
-        return np.array(a, dtype=float)
+        return np.asarray(a, dtype=float)
     if role == "transpose":
-        return transpose2(np.asarray(a, dtype=float)).copy()
+        return transpose2(np.asarray(a, dtype=float))
     return np.multiply.outer(trace(a), ident2())
 
 

@@ -34,13 +34,9 @@ WORKERS = 2
 
 # (file under src/tenderiv, old text, new text, expected outcome)
 MUTANTS = [
-    # wrong slots of the positional products
+    # a wrong slot of the positional product
     ("algebra.py", '("pos_dot3", (4, 2)): "ijkl,km->ijml"',
      '("pos_dot3", (4, 2)): "ijkl,km->ijlm"', "killed"),
-    ("algebra.py", '("pos_ddot_left2", (4, 4)): "ijkl,abkj->iabl"',
-     '("pos_ddot_left2", (4, 4)): "ijkl,abjk->iabl"', "survives: ROADMAP item 2"),
-    ("algebra.py", '("pos_ddot_right3", (4, 4)): "ijkl,kjab->iabl"',
-     '("pos_ddot_right3", (4, 4)): "ijkl,jkab->iabl"', "survives: ROADMAP item 2"),
     # swapped letters in the double contractions
     ("algebra.py", '("ddot_seq", (4, 4)): "ijmn,nmkl->ijkl"',
      '("ddot_seq", (4, 4)): "ijmn,mnkl->ijkl"', "killed"),

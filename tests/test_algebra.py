@@ -21,8 +21,6 @@ from tenderiv.algebra import (
     invariants,
     matpow,
     outer,
-    pos_ddot_left,
-    pos_ddot_right,
     pos_dot,
     product,
     trace,
@@ -222,38 +220,6 @@ def test_pos_dot_all_slots_match_oracle():
             assert maxabs(pos_dot(h, d, n) - oracles.pos_dot_oracle(h, d, n)) < 1e-13
     with pytest.raises(ValueError, match="slot must be one of 1, 2, 3, 4, got 5"):
         pos_dot(C1, I, 5)
-
-
-def test_pos_ddot_left_transposes():
-    for t in range(10):
-        m = random_ten4(trial_rng(107, t))
-        assert np.array_equal(pos_ddot_left(C2, m, 2), transpose4(m, "ti"))
-        assert np.array_equal(pos_ddot_left(C2, m, 3), transpose4(m, "dr"))
-        assert np.array_equal(pos_ddot_left(C2, m, 1), transpose4(m, "dl"))
-    assert np.array_equal(pos_ddot_left(C2, one_hot4(0, 1, 2, 0), 2), one_hot4(0, 2, 1, 0))
-    with pytest.raises(ValueError, match="slot must be one of 1, 2, 3, got 4"):
-        pos_ddot_left(C2, C1, 4)
-
-
-def test_pos_ddot_right_transposes():
-    for t in range(10):
-        m = random_ten4(trial_rng(108, t))
-        assert np.array_equal(pos_ddot_right(m, C2, 3), transpose4(m, "ti"))
-        assert np.array_equal(pos_ddot_right(m, C2, 4), transpose4(m, "dr"))
-    assert np.array_equal(pos_ddot_right(one_hot4(0, 1, 2, 0), C2, 3), one_hot4(0, 2, 1, 0))
-    assert np.array_equal(pos_ddot_right(C1, C2, 3), transpose4(C1, "ti"))
-    with pytest.raises(ValueError, match="slot must be one of 2, 3, 4, got 1"):
-        pos_ddot_right(C1, C2, 1)
-
-
-def test_pos_ddot_matches_loop_oracle():
-    for t in range(6):
-        rng = trial_rng(109, t)
-        c, m = random_ten4(rng), random_ten4(rng)
-        for n in (1, 2, 3):
-            assert maxabs(pos_ddot_left(c, m, n) - oracles.pos_ddot_left_oracle(c, m, n)) < 1e-13
-        for n in (2, 3, 4):
-            assert maxabs(pos_ddot_right(m, c, n) - oracles.pos_ddot_right_oracle(m, c, n)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

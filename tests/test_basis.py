@@ -219,8 +219,6 @@ OPS_AND_RANKS = [
     ("ddot_pos", (2, 2)), ("ddot_pos", (2, 4)), ("ddot_pos", (4, 2)), ("ddot_pos", (4, 4)),
     ("outer", (2, 2)), ("box", (2, 2)), ("boxhat", (2, 2)),
     ("pos_dot1", (4, 2)), ("pos_dot2", (4, 2)), ("pos_dot3", (4, 2)), ("pos_dot4", (4, 2)),
-    ("pos_ddot_left1", (4, 4)), ("pos_ddot_left2", (4, 4)), ("pos_ddot_left3", (4, 4)),
-    ("pos_ddot_right2", (4, 4)), ("pos_ddot_right3", (4, 4)), ("pos_ddot_right4", (4, 4)),
 ]
 
 _SAMPLE = {2: random_ten2, 4: random_ten4}

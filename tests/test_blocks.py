@@ -6,6 +6,7 @@ one-trial samplers of the oracles and the unbatched public operations, so a bloc
 boundary, a draw-order slip or a regrouped sum shows up as a bit difference.
 """
 
+import itertools
 import platform
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import tenderiv.algebra
 import tenderiv.bridge
 import tenderiv.reporting
 import tenderiv.rng
@@ -448,12 +450,36 @@ def views(a, rank):
     return found
 
 
+# product evaluates any row through algebra._plan, and the letter-swap test
+# below relies on that for rows outside the table.  So the kernel tests also
+# run six rows that are not in SUBSCRIPTS: positional double contractions, which
+# put the second operand's free slots inside the result.  Each test installs
+# its row in _PLANS for its own run only.
+EXTRA_ROWS = {
+    ("pos_ddot_left1", (4, 4)): "ijkl,abji->abkl",
+    ("pos_ddot_left2", (4, 4)): "ijkl,abkj->iabl",
+    ("pos_ddot_left3", (4, 4)): "ijkl,ablk->ijab",
+    ("pos_ddot_right2", (4, 4)): "ijkl,jiab->abkl",
+    ("pos_ddot_right3", (4, 4)): "ijkl,kjab->iabl",
+    ("pos_ddot_right4", (4, 4)): "ijkl,lkab->ijab",
+}
+# the extra rows last, so that a table row's case keeps its id
+KERNEL_ROWS = sorted(SUBSCRIPTS) + sorted(EXTRA_ROWS)
+
+
+def install(monkeypatch, key):
+    """Make product evaluate ``key``, a table row or one of EXTRA_ROWS."""
+    if key in EXTRA_ROWS:
+        monkeypatch.setitem(tenderiv.algebra._PLANS, key, tenderiv.algebra._plan(EXTRA_ROWS[key]))
+
+
 # a few items; 128, 256 and 512 items and one more of each; and half a block
 # and a block, and one more of each (the sizes are literal: see TRIAL_COUNTS)
 @pytest.mark.parametrize("n", sorted({1, 2, 5, 7, 128, 129, 256, 257, 512, 513,
                                       HALF, HALF + 1, BLOCK, BLOCK + 1}))
-@pytest.mark.parametrize("key", sorted(SUBSCRIPTS))
-def test_batched_product_equals_stacked_single_products(key, n):
+@pytest.mark.parametrize("key", KERNEL_ROWS)
+def test_batched_product_equals_stacked_single_products(monkeypatch, key, n):
+    install(monkeypatch, key)
     op, ranks = key
     rng = trial_rng(900, n)
     x = rng.uniform(-1.0, 1.0, (n,) + (3,) * ranks[0])
@@ -485,7 +511,7 @@ LOOP_ORACLES = {
 
 
 def oracle_of(op):
-    """The loop oracle of a SUBSCRIPTS operation, as a function of (x, y)."""
+    """The loop oracle of a KERNEL_ROWS operation, as a function of (x, y)."""
     for prefix, oracle in [("pos_dot", pos_dot_oracle), ("pos_ddot_right", pos_ddot_right_oracle)]:
         if op.startswith(prefix):
             return lambda x, y: oracle(x, y, int(op[len(prefix):]))
@@ -495,8 +521,9 @@ def oracle_of(op):
 
 
 @pytest.mark.parametrize("batched", ["both", "x", "y", "neither"])
-@pytest.mark.parametrize("key", sorted(SUBSCRIPTS))
-def test_product_matches_loop_oracle_with_and_without_batch_axes(key, batched):
+@pytest.mark.parametrize("key", KERNEL_ROWS)
+def test_product_matches_loop_oracle_with_and_without_batch_axes(monkeypatch, key, batched):
+    install(monkeypatch, key)
     op, ranks = key
     n = 3
     rng = trial_rng(902, 0)
@@ -514,8 +541,9 @@ def test_product_matches_loop_oracle_with_and_without_batch_axes(key, batched):
         assert np.max(np.abs(item - want)) / (1.0 + maxabs(xt) * maxabs(yt)) <= 1e-14
 
 
-@pytest.mark.parametrize("key", sorted(SUBSCRIPTS))
-def test_nonfinite_item_stays_in_its_item_and_fails_its_report(key):
+@pytest.mark.parametrize("key", KERNEL_ROWS)
+def test_nonfinite_item_stays_in_its_item_and_fails_its_report(monkeypatch, key):
+    install(monkeypatch, key)
     op, ranks = key
     n, poisoned = BLOCK + 1, 70
     rng = trial_rng(903, 0)
@@ -541,6 +569,53 @@ def test_nonfinite_item_stays_in_its_item_and_fails_its_report(key):
     assert np.array_equal(np.delete(got, poisoned, axis=0), np.delete(clean, poisoned, axis=0))
     assert done[0] == n
     assert report.nonfinite == 1 and not report.passed and report.max_abs_err == 0.0
+
+
+class RecordingPlans(dict):
+    """The plan table, noting each key looked up."""
+
+    def __init__(self, plans):
+        super().__init__(plans)
+        self.seen = set()
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+def test_the_suite_reaches_every_table_row(monkeypatch, seed):
+    plans = RecordingPlans(tenderiv.algebra._PLANS)
+    monkeypatch.setattr(tenderiv.algebra, "_PLANS", plans)
+    assert full_identity_suite(seed, 1).all_pass
+    assert sorted(set(SUBSCRIPTS) - plans.seen) == []
+
+
+def letter_swaps(subscripts):
+    """The row with two letters of one operand swapped, for each such pair.
+
+    No operand of the table repeats a letter.
+    """
+    operands, out = subscripts.split("->")
+    sides = operands.split(",")
+    for side, labels in enumerate(sides):
+        for a, b in itertools.combinations(labels, 2):
+            mutated = list(sides)
+            mutated[side] = labels.translate(str.maketrans(a + b, b + a))
+            yield ",".join(mutated) + "->" + out
+
+
+@pytest.mark.parametrize("key", sorted(SUBSCRIPTS),
+                         ids=lambda key: "{}-{}x{}".format(key[0], *key[1]))
+def test_every_letter_swap_in_a_table_row_fails_the_suite(monkeypatch, key):
+    # no swap is equivalent to its row today; one that is must be listed here
+    # with its reason, not skipped
+    survivors = []
+    for mutated in letter_swaps(SUBSCRIPTS[key]):
+        monkeypatch.setitem(tenderiv.algebra._PLANS, key, tenderiv.algebra._plan(mutated))
+        if full_identity_suite(42, 50).all_pass:
+            survivors.append(mutated)
+    assert survivors == []
 
 
 def test_batched_product_takes_ranks_from_the_caller():
