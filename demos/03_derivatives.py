@@ -5,7 +5,7 @@
 import numpy as np
 
 from tenderiv import (
-    catalog,
+    CATALOG,
     d_inverse,
     d_power,
     ddot_cross,
@@ -19,14 +19,13 @@ from tenderiv import (
 
 np.set_printoptions(precision=4, suppress=True)
 
-cat = catalog()
 rng = np.random.default_rng(3)
 A = rng.uniform(-1, 1, (3, 3))
 D = np.diag([1.0, 2.0, 3.0])
 
 print("Scalar functions.  Derivative entries are df/dA[i,j].")
 for name in ("I1", "I2", "I3"):
-    fn = cat[name]
+    fn = CATALOG[name]
     analytic = fn.deriv(D)
     fd = fd_scalar_derivative(fn, D)
     print(f"\nd{name}/dA at diag(1,2,3):\n{analytic}")
@@ -35,10 +34,10 @@ for name in ("I1", "I2", "I3"):
 print("\nTensor functions use the trailing layout: entry (i,j,k,p) is")
 print("dF[i,j]/dA[k,p].  The derivative of A itself is the constant C_II:")
 print("  max |dA/dA - C_II| =",
-      np.max(np.abs(cat["id"].deriv(A) - iso_tensor("II"))))
+      np.max(np.abs(CATALOG["id"].deriv(A) - iso_tensor("II"))))
 
 for name in ("square", "cube", "inverse"):
-    fn = cat[name]
+    fn = CATALOG[name]
     at = np.eye(3) + 0.3 * rng.uniform(-1, 1, (3, 3)) if name == "inverse" else A
     analytic = fn.deriv(at)
     fd = fd_tensor_derivative(fn, at)
@@ -48,7 +47,7 @@ print("\nChain rule (the cross double contraction of the outer derivative with")
 print("the inner one): d/dS of (S^2)^-1 at a point near the identity.")
 S = np.eye(3) + 0.2 * rng.uniform(-1, 1, (3, 3))
 composite = ddot_cross(d_inverse(matpow(S, 2)), d_power(2, S))
-direct_fn = cat["inverse"]
+direct_fn = CATALOG["inverse"]
 
 
 def composite_eval(s):

@@ -41,9 +41,9 @@ from .basis import (
 )
 from .bridge import to_nested_layout, to_trailing_layout
 from .calculus import (
+    CATALOG,
     DomainError,
     TensorFunction,
-    catalog,
     d_invariant,
     d_inverse,
     d_power,

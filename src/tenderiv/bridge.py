@@ -24,14 +24,12 @@ a derivative oracle exact to rounding, held to the run's tolerance.
 import numpy as np
 
 from .algebra import ident2, inverse2, maxabs, product, transpose2, transpose4
-from .calculus import catalog, product_rule_dot, product_rule_scalar_tensor
+from .calculus import CATALOG, product_rule_dot, product_rule_scalar_tensor
 from .isotropic import iso_tensor
 from .rng import near_identity, uniform_tensors
 
 # operand ranks of the batched products below
 R22, R24, R42, R44 = (2, 2), (2, 4), (4, 2), (4, 4)
-# bridge/rule/square and bridge/rule/inverse check the rules of these entries
-_CATALOG = catalog()
 
 
 def to_nested_layout(d4):
@@ -115,7 +113,7 @@ def _cstep_leg(f, a, e, analytic):
 
 def _rule_legs(name, a, e, interleaved, nested, scale):
     """Entry name's rule against its interleaved and nested forms over scale, and its cstep leg."""
-    fn = _CATALOG[name]
+    fn = CATALOG[name]
     analytic = fn.deriv(a)
     return [([(interleaved, analytic), (nested, to_nested_layout(analytic))], 4, scale),
             _cstep_leg(fn.func, a, e, analytic)]

@@ -194,29 +194,24 @@ def product_rule_scalar_tensor(lam, dpsi_ds, psi, dlam_ds):
 # Catalog
 # ---------------------------------------------------------------------------
 
-def catalog():
-    """All named functions with analytic derivatives, keyed by CLI name."""
-    entries = [
-        TensorFunction("I1", "scalar", trace, lambda a: d_invariant(1, a)),
-        TensorFunction("I2", "scalar", lambda a: invariants(a).i2,
-                       lambda a: d_invariant(2, a)),
-        TensorFunction("I3", "scalar", lambda a: invariants(a).i3,
-                       lambda a: d_invariant(3, a)),
-        TensorFunction("id", "tensor", lambda a: matpow(a, 1), lambda a: d_power(1, a)),
-        TensorFunction("transpose", "tensor", transpose2, d_transpose),
-        TensorFunction("square", "tensor", lambda a: matpow(a, 2),
-                       lambda a: d_power(2, a)),
-        TensorFunction("cube", "tensor", lambda a: matpow(a, 3),
-                       lambda a: d_power(3, a)),
-        TensorFunction("inverse", "tensor", inverse2, d_inverse),
-    ]
-    for n in (2, 3, 4):
-        entries.append(
-            TensorFunction(
-                f"trI_pow_{n}",
-                "scalar",
-                lambda a, n=n: trace(matpow(a, n)),
-                lambda a, n=n: d_trace_power(n, a),
-            )
-        )
-    return {fn.name: fn for fn in entries}
+# All named functions with analytic derivatives, keyed by CLI name.
+CATALOG = {fn.name: fn for fn in [
+    TensorFunction("I1", "scalar", trace, lambda a: d_invariant(1, a)),
+    TensorFunction("I2", "scalar", lambda a: invariants(a).i2,
+                   lambda a: d_invariant(2, a)),
+    TensorFunction("I3", "scalar", lambda a: invariants(a).i3,
+                   lambda a: d_invariant(3, a)),
+    TensorFunction("id", "tensor", lambda a: matpow(a, 1), lambda a: d_power(1, a)),
+    TensorFunction("transpose", "tensor", transpose2, d_transpose),
+    TensorFunction("square", "tensor", lambda a: matpow(a, 2),
+                   lambda a: d_power(2, a)),
+    TensorFunction("cube", "tensor", lambda a: matpow(a, 3),
+                   lambda a: d_power(3, a)),
+    TensorFunction("inverse", "tensor", inverse2, d_inverse),
+    *(TensorFunction(
+        f"trI_pow_{n}",
+        "scalar",
+        lambda a, n=n: trace(matpow(a, n)),
+        lambda a, n=n: d_trace_power(n, a),
+    ) for n in (2, 3, 4)),
+]}

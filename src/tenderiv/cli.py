@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import SingularTensorError, maxabs
 from .bridge import to_nested_layout, to_trailing_layout
-from .calculus import DomainError, catalog, fd_scalar_derivative, fd_tensor_derivative
+from .calculus import CATALOG, DomainError, fd_scalar_derivative, fd_tensor_derivative
 from .serialize import SerializeError, dumps, load_json, parse_matrix, parse_tensor4
 from .suites import full_identity_suite
 
@@ -76,16 +76,9 @@ def _finite(what, value):
     return value
 
 
-_CATALOG = catalog()
-
-
 def cmd_deriv(args):
-    if args.fn not in _CATALOG:
-        return _usage_error(
-            f"unknown function {args.fn!r}; available: {', '.join(sorted(_CATALOG))}"
-        )
     at = parse_matrix(load_json(args.at))
-    fn = _CATALOG[args.fn]
+    fn = CATALOG[args.fn]
     key = "matrix" if fn.kind == "scalar" else "tensor4"
     fd_derivative = fd_scalar_derivative if fn.kind == "scalar" else fd_tensor_derivative
     payload = {"fn": fn.name, "kind": fn.kind, "at": {"matrix": at}}
@@ -138,9 +131,8 @@ def build_parser():
     p_id.set_defaults(run=cmd_identities)
 
     p_dv = sub.add_parser("deriv", help="analytic derivative of a catalog function")
-    p_dv.add_argument("--fn", required=True,
-                      help="function name (I1, I2, I3, trI_pow_2..4, id, transpose, "
-                           "square, cube, inverse)")
+    p_dv.add_argument("--fn", required=True, choices=CATALOG, metavar="NAME",
+                      help="one of %(choices)s")
     p_dv.add_argument("--at", required=True, help='path to the argument {"matrix": ...} JSON')
     p_dv.add_argument("--fd-check", action="store_true",
                       help="include a central-difference comparison")

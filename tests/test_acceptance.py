@@ -12,7 +12,7 @@ import numpy as np
 from tenderiv.algebra import ident2, invariants
 from tenderiv.bridge import to_nested_layout, to_trailing_layout
 from tenderiv.calculus import (
-    catalog,
+    CATALOG,
     d_invariant,
     d_inverse,
     d_power,
@@ -37,7 +37,6 @@ from oracles import (
 )
 
 SEED = 42
-CAT = catalog()
 
 
 def record(num, description, ok, detail):
@@ -72,7 +71,7 @@ def test_criterion_02_contraction_identity_suite():
 def test_criterion_03_derivative_oracle_suite():
     detail = []
     ok = True
-    for name, fn in sorted(CAT.items()):
+    for name, fn in sorted(CATALOG.items()):
         inverse_like = name == "inverse"
         tol = 1e-5 if inverse_like else 1e-6
         worst = 0.0
@@ -184,7 +183,7 @@ def test_criterion_09_linearization_order():
         rng = trial_rng(SEED + 8, 0)
         a = random_near_identity(rng) if name == "inverse" else random_ten2(rng)
         d0 = random_ten2(trial_rng(SEED + 8, 1))
-        res = [linearization_check(CAT[name], a, (0.01 * 0.5**k) * d0)
+        res = [linearization_check(CATALOG[name], a, (0.01 * 0.5**k) * d0)
                for k in range(4)]
         ratios = [res[k] / res[k + 1] for k in range(3)]
         ok = ok and all(3.5 <= r <= 4.5 for r in ratios)

@@ -18,6 +18,7 @@ import pytest
 
 import tenderiv.algebra
 import tenderiv.bridge
+import tenderiv.calculus
 import tenderiv.reporting
 import tenderiv.rng
 import tenderiv.suites
@@ -283,7 +284,7 @@ def test_a_wrong_derivative_rule_fails_its_row(monkeypatch, rule, mutant):
     name = "bridge/rule/" + entry
     assert run_report(name, 7, 50).passed
     deriv = partial(mutant, 2) if rule == "d_power" else mutant
-    catalog = tenderiv.bridge._CATALOG
+    catalog = tenderiv.calculus.CATALOG
     monkeypatch.setitem(catalog, entry, replace(catalog[entry], deriv=deriv))
     report = run_report(name, 7, 50)
     assert not report.passed and report.nonfinite == 0

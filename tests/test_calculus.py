@@ -18,9 +18,9 @@ from tenderiv.algebra import (
     transpose2,
 )
 from tenderiv.calculus import (
+    CATALOG,
     DomainError,
     TensorFunction,
-    catalog,
     d_invariant,
     d_inverse,
     d_power,
@@ -50,7 +50,6 @@ I = ident2()
 D = np.diag([1.0, 2.0, 3.0])
 E12 = one_hot2(0, 1)
 C2, C3 = iso_tensor("II"), iso_tensor("III")
-CAT = catalog()
 
 
 def relerr(got, want):
@@ -63,23 +62,23 @@ def relerr(got, want):
 
 def test_fd_scalar_spot_values():
     a = random_ten2(trial_rng(400, 0))
-    assert maxabs(fd_scalar_derivative(CAT["I1"], a) - I) <= 1e-9
-    assert maxabs(fd_scalar_derivative(CAT["I3"], D) - np.diag([6.0, 3.0, 2.0])) <= 1e-9
-    assert maxabs(fd_scalar_derivative(CAT["I2"], I) - 2.0 * I) <= 1e-9
+    assert maxabs(fd_scalar_derivative(CATALOG["I1"], a) - I) <= 1e-9
+    assert maxabs(fd_scalar_derivative(CATALOG["I3"], D) - np.diag([6.0, 3.0, 2.0])) <= 1e-9
+    assert maxabs(fd_scalar_derivative(CATALOG["I2"], I) - 2.0 * I) <= 1e-9
 
 
 def test_fd_tensor_spot_values():
     a = random_ten2(trial_rng(401, 0))
-    assert maxabs(fd_tensor_derivative(CAT["id"], a) - C2) <= 1e-9
-    assert maxabs(fd_tensor_derivative(CAT["transpose"], a) - C3) <= 1e-9
-    assert maxabs(fd_tensor_derivative(CAT["square"], I) - 2.0 * C2) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CATALOG["id"], a) - C2) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CATALOG["transpose"], a) - C3) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CATALOG["square"], I) - 2.0 * C2) <= 1e-9
 
 
 def test_fd_kind_mismatch_rejected():
     with pytest.raises(ValueError):
-        fd_scalar_derivative(CAT["square"], I)
+        fd_scalar_derivative(CATALOG["square"], I)
     with pytest.raises(ValueError):
-        fd_tensor_derivative(CAT["I1"], I)
+        fd_tensor_derivative(CATALOG["I1"], I)
 
 
 def test_fd_guards_probe_points():
@@ -87,9 +86,9 @@ def test_fd_guards_probe_points():
     a = np.diag([1.0, 1.0, 1e-5])
     assert np.allclose(inverse2(a), np.diag([1.0, 1.0, 1e5]))
     with pytest.raises(DomainError):
-        fd_tensor_derivative(CAT["inverse"], a)
+        fd_tensor_derivative(CATALOG["inverse"], a)
     with pytest.raises(DomainError):
-        fd_tensor_derivative(CAT["inverse"], np.zeros((3, 3)))
+        fd_tensor_derivative(CATALOG["inverse"], np.zeros((3, 3)))
 
 
 def test_fd_guard_is_checked_at_every_probe_of_a_stack():
@@ -97,15 +96,15 @@ def test_fd_guard_is_checked_at_every_probe_of_a_stack():
     # det = 1e-5 passes at the base point; the -h probe of component (2,2) is singular
     near = np.diag([1.0, 1.0, 1e-5])
     with pytest.raises(DomainError, match=r"probe \(-h\) of component \(2,2\)"):
-        fd_tensor_derivative(CAT["inverse"], near)
+        fd_tensor_derivative(CATALOG["inverse"], near)
     # det = 0 at the base point only: every probe moves it to about +-3.3e-6
     with pytest.raises(DomainError, match="the base point"):
-        fd_tensor_derivative(CAT["inverse"], I - np.ones((3, 3)) / 3.0)
+        fd_tensor_derivative(CATALOG["inverse"], I - np.ones((3, 3)) / 3.0)
 
 
-@pytest.mark.parametrize("name", sorted(CAT))
+@pytest.mark.parametrize("name", sorted(CATALOG))
 def test_fd_takes_one_argument(name):
-    fn = CAT[name]
+    fn = CATALOG[name]
     fd = fd_scalar_derivative if fn.kind == "scalar" else fd_tensor_derivative
     stack = np.stack([I + 0.3 * random_ten2(trial_rng(420, t)) for t in range(4)])
     for bad in (stack, stack[:1], stack[0, 0], np.ones((3, 3, 3, 3)), 1.0):
@@ -146,9 +145,9 @@ def test_fd_probe_points_follow_the_step_rule():
 
 def test_gato_spot_values():
     a = random_ten2(trial_rng(402, 0))
-    assert abs(gato_derivative(CAT["I1"], a, E12)) <= 1e-10
-    assert gato_derivative(CAT["I1"], a, I) == pytest.approx(3.0, abs=1e-9)
-    got = gato_derivative(CAT["square"], D, E12)
+    assert abs(gato_derivative(CATALOG["I1"], a, E12)) <= 1e-10
+    assert gato_derivative(CATALOG["I1"], a, I) == pytest.approx(3.0, abs=1e-9)
+    got = gato_derivative(CATALOG["square"], D, E12)
     want = E12 @ D + D @ E12  # entry (0,1) carries d1 + d2 = 3
     assert want[0, 1] == 3.0
     assert maxabs(got - want) <= 1e-9
@@ -159,7 +158,7 @@ def test_gato_matches_derivative_contraction():
         rng = trial_rng(403, t)
         a = random_near_identity(rng)
         direction = random_ten2(rng)
-        for fn in CAT.values():
+        for fn in CATALOG.values():
             got = gato_derivative(fn, a, direction)
             if fn.kind == "scalar":
                 want = ddot_cross(fn.deriv(a), direction)
@@ -233,8 +232,8 @@ def test_constant_derivatives():
     a = random_ten2(trial_rng(407, 0))
     assert np.array_equal(d_power(1, a), C2)
     assert np.array_equal(d_transpose(a), C3)
-    assert maxabs(fd_tensor_derivative(CAT["id"], a) - C2) <= 1e-9
-    assert maxabs(fd_tensor_derivative(CAT["transpose"], a) - C3) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CATALOG["id"], a) - C2) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CATALOG["transpose"], a) - C3) <= 1e-9
 
 
 def test_d_square_entries():
@@ -243,7 +242,7 @@ def test_d_square_entries():
     for i, j, k, p in itertools.product(range(3), repeat=4):
         want = (i == k) * D[p, j] + D[i, k] * (j == p)
         assert got[i, j, k, p] == want
-    assert maxabs(fd_tensor_derivative(CAT["square"], D) - got) <= 1e-9
+    assert maxabs(fd_tensor_derivative(CATALOG["square"], D) - got) <= 1e-9
 
 
 def test_d_inverse_entries():
@@ -253,13 +252,13 @@ def test_d_inverse_entries():
     for i, j, k, p in itertools.product(range(3), repeat=4):
         assert got[i, j, k, p] == pytest.approx(-b[i, k] * b[p, j], abs=1e-14)
     a = random_near_identity(trial_rng(408, 0))
-    assert maxabs(fd_tensor_derivative(CAT["inverse"], a) - d_inverse(a)) <= 1e-8
+    assert maxabs(fd_tensor_derivative(CATALOG["inverse"], a) - d_inverse(a)) <= 1e-8
 
 
 def test_d_power_matches_cube_fd():
     for t in range(10):
         a = random_ten2(trial_rng(409, t))
-        assert relerr(fd_tensor_derivative(CAT["cube"], a), d_power(3, a)) <= 1e-8
+        assert relerr(fd_tensor_derivative(CATALOG["cube"], a), d_power(3, a)) <= 1e-8
     with pytest.raises(ValueError):
         d_power(0, I)
 
@@ -378,7 +377,7 @@ def test_product_rule_scalar_tensor_with_chain_expansion():
 
 def test_linearization_exact_for_linear_function():
     a, d = random_ten2(trial_rng(420, 0)), random_ten2(trial_rng(420, 1))
-    assert linearization_check(CAT["id"], a, d) <= 1e-15
+    assert linearization_check(CATALOG["id"], a, d) <= 1e-15
 
 
 @pytest.mark.parametrize("name,base", [("square", None), ("inverse", "near-identity")])
@@ -386,7 +385,7 @@ def test_linearization_second_order(name, base):
     rng = trial_rng(421, 0)
     a = random_near_identity(rng) if base else random_ten2(rng)
     d0 = random_ten2(trial_rng(421, 1))
-    res = [linearization_check(CAT[name], a, (0.01 * 0.5**k) * d0) for k in range(4)]
+    res = [linearization_check(CATALOG[name], a, (0.01 * 0.5**k) * d0) for k in range(4)]
     for k in range(3):
         assert 3.5 <= res[k] / res[k + 1] <= 4.5
 
@@ -407,11 +406,11 @@ def test_five_contraction_spellings_of_increment_agree():
 
 
 def test_catalog_contents():
-    assert set(CAT) == {
+    assert set(CATALOG) == {
         "I1", "I2", "I3", "trI_pow_2", "trI_pow_3", "trI_pow_4",
         "id", "transpose", "square", "cube", "inverse",
     }
-    assert CAT["inverse"].func is inverse2
+    assert CATALOG["inverse"].func is inverse2
     with pytest.raises(SingularTensorError):
-        CAT["inverse"].func(np.zeros((3, 3)))
-    assert CAT["I3"].func(D) == pytest.approx(6.0)
+        CATALOG["inverse"].func(np.zeros((3, 3)))
+    assert CATALOG["I3"].func(D) == pytest.approx(6.0)

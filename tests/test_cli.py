@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -11,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tenderiv.calculus
 import tenderiv.cli
 from tenderiv.cli import main
 from tenderiv.isotropic import iso_tensor
 from tenderiv.serialize import dumps, parse_tensor4
-from tenderiv.suites import full_identity_suite
+from tenderiv.suites import full_identity_suite, run_report
 
 from oracles import matrix_obj, tensor4_obj
 
@@ -337,6 +339,20 @@ def test_deriv_tensor_with_fd_check(capsys, diag_path):
     assert payload["kind"] == "tensor"
     assert np.asarray(payload["derivative"]["tensor4"]).shape == (3, 3, 3, 3)
     assert payload["fd_max_abs_err"] < 1e-9
+
+
+def test_deriv_and_the_verdict_read_one_catalog(tmp_path, monkeypatch, capsys):
+    # a rule scaled by 1 + 1e-10 in calculus.CATALOG reaches both deriv's
+    # output and the verdict's bridge/rule/square row
+    entry = tenderiv.calculus.CATALOG["square"]
+    scaled = dataclasses.replace(entry, deriv=lambda a: entry.deriv(a) * (1.0 + 1e-10))
+    monkeypatch.setitem(tenderiv.calculus.CATALOG, "square", scaled)
+    at = write(tmp_path / "at.json", {"matrix": PINNED_AT})
+    assert main(["deriv", "--fn", "square", "--at", at]) == 0
+    got = parse_tensor4(json.loads(capsys.readouterr().out)["derivative"])
+    want = entry.deriv(np.array(PINNED_AT)) * (1.0 + 1e-10)
+    assert np.array_equal(got, want)
+    assert not run_report("bridge/rule/square", 7, 50).passed
 
 
 def test_deriv_domain_guard(tmp_path, capsys):
